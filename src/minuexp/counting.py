@@ -130,11 +130,6 @@ def factorial_moment(params: MinUExpParams, mu_t: float, k: int) -> float:
     )
 
 
-def _log_bracket(params: MinUExpParams, k_last: int, mu_last: float) -> float:
-    """log of the shared mixing bracket evaluated at the grid endpoint."""
-    return log_mixing_kernel(params, k_last, params.lam + mu_last)
-
-
 def ordered_pmf(params: MinUExpParams, mu, k) -> float:
     """Joint p.m.f. of cumulative counts along the grid mu_1 < ... < mu_n.
 
@@ -156,27 +151,19 @@ def ordered_pmf(params: MinUExpParams, mu, k) -> float:
     log_product = float(
         np.sum(steps * np.log(widths) - np.array([math.lgamma(s + 1.0) for s in steps]))
     )
-    return math.exp(log_product + _log_bracket(params, int(counts[-1]), float(grid[-1])))
+    log_bracket = log_mixing_kernel(params, int(counts[-1]), params.lam + float(grid[-1]))
+    return math.exp(log_product + log_bracket)
 
 
 def increments_pmf(params: MinUExpParams, mu, m) -> float:
     """Joint p.m.f. of count increments over the grid cells.
 
     Product of mu_1^m1 (mu_2-mu_1)^m2 ... / (m1! m2! ...) times the mixing
-    bracket at (m1+...+mn, mu_n).  Identical to the cumulative form after a
-    cumulative-sum reparameterization.  Negative entries return 0.
+    bracket at (m1+...+mn, mu_n), evaluated as the cumulative form at the
+    cumulative sums of m.  Negative entries return 0: their cumulative sums
+    are not nondecreasing, so they fall outside the cumulative support.
     """
-    grid = _validate_grid(mu)
-    incs = _validate_counts(m, "increment vector m")
-    if incs.size != grid.size:
-        raise ValueError("increment vector and intensity grid must have matching length")
-    if np.any(incs < 0):
-        return 0.0
-    widths = np.diff(grid, prepend=0.0)
-    log_product = float(
-        np.sum(incs * np.log(widths) - np.array([math.lgamma(s + 1.0) for s in incs]))
-    )
-    return math.exp(log_product + _log_bracket(params, int(np.sum(incs)), float(grid[-1])))
+    return ordered_pmf(params, mu, np.cumsum(_validate_counts(m, "increment vector m")))
 
 
 def ordered_to_increments(k):

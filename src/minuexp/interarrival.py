@@ -17,7 +17,7 @@ import numpy as np
 from . import structure
 from ._mixture import log_mixing_kernel, mixing_kernel
 from .gamma_kernel import complete_gamma, lower_incomplete_gamma
-from .structure import MinUExpParams
+from .structure import MinUExpParams, _as_array
 
 __all__ = [
     "tau_cdf",
@@ -33,11 +33,6 @@ __all__ = [
     "erlang_moment",
     "interarrival_vector_sample",
 ]
-
-
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
 
 
 def tau_cdf(params: MinUExpParams, t):

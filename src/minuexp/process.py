@@ -1,11 +1,14 @@
 """Simulation of the mixed Poisson process N(t) = N1(xi * mu(t)).
 
-One mixing value xi is drawn per path; unit-rate exponential spacings are
-accumulated and mapped through the inverse time change, so arrival times
-are exact (no grid thinning, no discretization bias).  Deterministic time
-changes mu(t) are nonnegative, strictly increasing, continuous and vanish
-at zero; linear and power variants invert analytically, tabulated ones by
-bisection.
+One mixing value xi is drawn per path.  Given xi, counts over disjoint
+cells are independent Poisson(xi * delta mu), and given N(h) = n the
+arrival epochs in mu-time are n sorted uniforms on [0, mu(h)] (the
+order-statistics property).  Both identities are sampled directly and
+mapped through the inverse time change, so arrival times are exact (no
+grid thinning, no discretization bias).  Deterministic time changes mu(t)
+are nonnegative, strictly increasing, continuous and vanish at zero;
+linear and power variants invert analytically, tabulated ones by linear
+interpolation, which is exact for a piecewise-linear map.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ class PowerMu(MuTransform):
 class TableMu(MuTransform):
     """Piecewise-linear mu(t) through knots (t_i, mu_i), starting at (0, 0).
 
-    Defined on [0, t_end] only; the inverse is found by bisection to an
-    absolute tolerance of 1e-12 times the final knot time (overridable).
+    Defined on [0, t_end] only; the inverse interpolates the swapped knots
+    (mu_i, t_i), which is exact because the map is linear between knots.
     """
 
     def __init__(self, knots):
@@ -117,24 +120,12 @@ class TableMu(MuTransform):
         out = np.interp(arr, self.knot_t, self.knot_mu)
         return out if arr.ndim else float(out)
 
-    def _inverse_scalar(self, m: float, tol: float) -> float:
-        lo, hi = 0.0, float(self.knot_t[-1])
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if float(np.interp(mid, self.knot_t, self.knot_mu)) < m:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    def inverse(self, m, tol: float | None = None):
+    def inverse(self, m):
         arr = np.asarray(m, dtype=float)
         if np.any(arr < 0.0) or np.any(arr > self.knot_mu[-1]):
             raise ValueError("intensity outside the table transform's range")
-        if tol is None:
-            tol = 1e-12 * float(self.knot_t[-1])
-        out = np.array([self._inverse_scalar(float(v), tol) for v in np.atleast_1d(arr)])
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        out = np.interp(arr, self.knot_mu, self.knot_t)
+        return out if arr.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -160,34 +151,18 @@ def _check_horizon(mu: MuTransform, horizon: float) -> float:
     return float(mu(horizon))
 
 
-def _draw_spacings(rng: np.random.Generator, limit: float) -> np.ndarray:
-    """Partial sums of unit exponentials up to (and excluding) limit."""
-    sums: list[float] = []
-    total = 0.0
-    block = 8
-    while True:
-        cs = total + np.cumsum(rng.exponential(size=block))
-        over = np.nonzero(cs > limit)[0]
-        if over.size:
-            sums.extend(cs[: over[0]].tolist())
-            return np.asarray(sums, dtype=float)
-        sums.extend(cs.tolist())
-        total = float(cs[-1])
-        block = min(block * 2, 4096)
-
-
 def simulate(
     params: MinUExpParams, mu: MuTransform, horizon: float, rng: np.random.Generator
 ) -> Trajectory:
     """One exact path on [0, horizon].
 
-    Draws xi once, accumulates unit exponential spacings S_1 < S_2 < ...
-    while S_k <= xi mu(horizon), and sets T_k = mu^-1(S_k / xi).
+    Draws xi once, then the total count n ~ Poisson(xi mu(horizon)), then
+    n sorted uniforms U_(k) on [0, mu(horizon)], and sets T_k = mu^-1(U_(k)).
     """
     mu_h = _check_horizon(mu, horizon)
     xi = structure.sample(params, rng)
-    s = _draw_spacings(rng, xi * mu_h)
-    arrivals = mu.inverse(s / xi) if s.size else np.empty(0)
+    n = rng.poisson(xi * mu_h)
+    arrivals = mu.inverse(np.sort(rng.uniform(0.0, mu_h, n)))
     arrivals = np.minimum(np.asarray(arrivals, dtype=float), horizon)
     return Trajectory(xi=xi, arrivals=arrivals, horizon=float(horizon))
 
@@ -242,14 +217,13 @@ def sample_grid_counts(
     times,
     paths: int,
     rng: np.random.Generator,
-    chunk_size: int = 100_000,
 ) -> np.ndarray:
     """Counts N(t_j) for each path, as an integer matrix (paths, len(times)).
 
-    Exact arrival-driven sampling vectorized in chunks on one stream:
-    within a chunk, spacing blocks are drawn for all unfinished paths until
-    every path's cumulative sum has crossed xi mu(t_max).  Output is
-    deterministic for fixed (stream state, paths, chunk_size).
+    Draws one xi per path on the single stream supplied, then independent
+    Poisson(xi (mu(t_j) - mu(t_{j-1}))) cell increments, and sums them
+    along the grid.  Working memory is a small multiple of the output.
+    Output is deterministic for fixed (stream state, paths).
     """
     t_arr = np.asarray(times, dtype=float)
     if t_arr.ndim != 1 or t_arr.size == 0:
@@ -258,28 +232,9 @@ def sample_grid_counts(
         raise ValueError("times must be positive and strictly increasing")
     if paths < 1:
         raise ValueError("number of paths must be a positive integer")
-    mu_grid = np.asarray(mu(t_arr), dtype=float)
-
-    out = np.zeros((int(paths), t_arr.size), dtype=np.int64)
-    for start in range(0, int(paths), chunk_size):
-        stop = min(start + chunk_size, int(paths))
-        xi = structure.sample(params, rng, size=stop - start)
-        thresholds = xi[:, None] * mu_grid[None, :]
-        limits = thresholds[:, -1]
-        counts = np.zeros((stop - start, t_arr.size), dtype=np.int64)
-        active = np.arange(stop - start)
-        totals = np.zeros(stop - start)
-        block = 16
-        while active.size:
-            cs = totals[active, None] + np.cumsum(
-                rng.exponential(size=(active.size, block)), axis=1
-            )
-            counts[active] += (cs[:, :, None] <= thresholds[active, None, :]).sum(axis=1)
-            totals[active] = cs[:, -1]
-            active = active[cs[:, -1] <= limits[active]]
-            block = min(block * 2, 1024)
-        out[start:stop] = counts
-    return out
+    widths = np.diff(np.asarray(mu(t_arr), dtype=float), prepend=0.0)
+    xi = structure.sample(params, rng, size=int(paths))
+    return np.cumsum(rng.poisson(xi[:, None] * widths), axis=1)
 
 
 def counts_on_grid(traj: Trajectory, times) -> np.ndarray:

@@ -144,12 +144,3 @@ def sample(params: MinUExpParams, rng: np.random.Generator, size=None):
     e = rng.exponential(scale=1.0 / params.lam, size=size)
     out = np.minimum(u, e)
     return float(out) if size is None else out
-
-
-def _quantile(params: MinUExpParams, q: float) -> float:
-    """Numeric inverse of the c.d.f. by bracketed root finding (internal)."""
-    from scipy.optimize import brentq
-
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile level must lie in (0, 1)")
-    return brentq(lambda x: cdf(params, x) - q, 0.0, params.a, xtol=1e-15)

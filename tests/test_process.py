@@ -58,7 +58,7 @@ class TestMuTransforms:
         mu = TableMu([(0.0, 0.0), (1.0, 2.0), (3.0, 3.0)])
         assert mu(0.5) == pytest.approx(1.0)
         assert mu(2.0) == pytest.approx(2.5)
-        # bisection tolerance is 1e-12 * t_end
+        # interpolation is exact for a piecewise-linear map, up to rounding
         for m in (0.4, 1.9, 2.5, 2.99):
             t = mu.inverse(m)
             assert mu(t) == pytest.approx(m, abs=1e-9)
@@ -104,6 +104,20 @@ class TestSimulate:
         for a, b in zip(few, many[:3]):
             assert a.xi == b.xi and np.array_equal(a.arrivals, b.arrivals)
 
+    def test_paths_match_marginal_law(self):
+        # N(0.5) under the table transform, where mu(0.5) = 1, follows the
+        # count law at intensity 1; the arrivals pass through the table inverse
+        from minuexp import count_pmf, scaled_count_params
+        from minuexp.oracle import chi_square_pmf
+
+        mu = TableMu([(0.0, 0.0), (1.0, 2.0), (3.0, 3.0)])
+        paths = simulate_paths(P11, mu, 3.0, 5_000, master_seed=72)
+        counts = np.array([counts_on_grid(traj, [0.5])[0] for traj in paths])
+        obs = np.bincount(counts)
+        probs = count_pmf(scaled_count_params(P11, 1.0), np.arange(obs.size))
+        _, _, p_value = chi_square_pmf(obs, probs, counts.size)
+        assert p_value > 0.001
+
     def test_split_seed_rule(self):
         assert split_seed(99, 0) != split_seed(99, 1)
         assert split_seed(99, 5) == split_seed(99, 5)
@@ -137,6 +151,19 @@ class TestGridCounts:
         probs = count_pmf(scaled_count_params(P11, 0.5), np.arange(obs.size))
         _, _, p_value = chi_square_pmf(obs, probs, counts.shape[0])
         assert p_value > 0.001
+
+    def test_working_memory_bounded_by_output(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = sample_grid_counts(
+                P11, LinearMu(5.0), np.linspace(0.1, 2.0, 20), 20_000, make_stream(79)
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.nbytes
 
     def test_time_change_equivalence(self):
         # counts at t = 0.5 under mu = 2t match counts at t = 1 under mu = t
