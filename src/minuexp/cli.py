@@ -19,9 +19,8 @@ import sys
 import numpy as np
 
 from . import counting, estimation, interarrival, process, structure
-from .rng import make_stream, substream
+from .rng import make_stream
 from .structure import MinUExpParams
-from .validation import run_validation
 
 __all__ = ["main"]
 
@@ -219,6 +218,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validation import run_validation
+
     rows = run_validation(quick=args.quick)
     failed = [r for r in rows if not r.passed]
     if args.format == "json":
@@ -262,6 +263,32 @@ def _cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Subcommand parser that records its option strings, to check config keys."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.flags.update(action.option_strings)
+        return action
+
+
+def _config_parser() -> argparse.ArgumentParser:
+    """The --config flag alone: read in a first pass, before or after the subcommand."""
+    parser = argparse.ArgumentParser(prog="minuexp", add_help=False, allow_abbrev=False)
+    parser.add_argument(
+        "--config",
+        default=None,
+        metavar="PATH",
+        help="JSON object of the subcommand's flags, given before or after it; "
+        "explicit flags win",
+    )
+    return parser
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="minuexp",
@@ -270,9 +297,11 @@ def build_parser():
             "evaluate closed forms, draw samples, fit parameters, simulate "
             "paths, and validate every formula against the numeric oracle."
         ),
+        parents=[_config_parser()],
+        allow_abbrev=False,  # an abbreviated --config would be parsed, then ignored
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    commands: dict[str, _Parser] = {}
 
     def add_common(p, with_params=True):
         if with_params:
@@ -281,7 +310,6 @@ def build_parser():
                 "--lambda", dest="lam", type=float, required=True, help="exponential rate > 0"
             )
         p.add_argument("--output", default="-", help="output path (default stdout)")
-        p.add_argument("--config", default=None, help="JSON file mirroring the flags")
 
     p_eval = sub.add_parser("eval", help="evaluate a closed form on a grid")
     add_common(p_eval)
@@ -314,7 +342,6 @@ def build_parser():
     p_fit.add_argument("--input", required=True, help="one value per line or 1-column CSV")
     p_fit.add_argument("--method", choices=["mom", "lsq"], required=True)
     p_fit.add_argument("--output", default="-")
-    p_fit.add_argument("--config", default=None)
     p_fit.set_defaults(func=_cmd_fit)
     commands["fit"] = p_fit
 
@@ -333,51 +360,54 @@ def build_parser():
     p_val.add_argument("--quick", action="store_true", help="reduced grid")
     p_val.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p_val.add_argument("--output", default="-")
-    p_val.add_argument("--config", default=None)
     p_val.set_defaults(func=_cmd_validate)
     commands["validate"] = p_val
 
     return parser, commands
 
 
-def _apply_config(argv: list[str], commands: dict) -> None:
-    """Load --config JSON (if present) as subcommand defaults.
+def _apply_config(argv: list[str], commands: dict[str, _Parser]) -> list[str]:
+    """Return argv without --config and with the config's flags after the subcommand.
 
-    Explicit flags still win: defaults only fill values not given on the
-    command line.  Keys use flag spelling with dashes as underscores;
-    "lambda" maps to the lam destination.
+    --config PATH and --config=PATH are read in a first pass, before or
+    after the subcommand.  Keys are flag names, dashes optionally written
+    as underscores ("lambda" for --lambda).  A value becomes --flag=value,
+    true the bare flag and false nothing.  The inserted flags precede the
+    command line's own, and argparse keeps the last value of a repeated
+    flag, so explicit flags win.
     """
-    if "--config" not in argv:
-        return
-    path = argv[argv.index("--config") + 1]
-    with open(path, encoding="utf-8") as handle:
+    known, rest = _config_parser().parse_known_args(argv)
+    if known.config is None:
+        return rest
+    with open(known.config, encoding="utf-8") as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    command = next((tok for tok in argv if not tok.startswith("-")), None)
-    sub = commands.get(command)
-    if sub is None:
-        return
-    known = {action.dest for action in sub._actions}
-    mapped = {}
+    at = next((i for i, tok in enumerate(rest) if not tok.startswith("-")), None)
+    if at is None or rest[at] not in commands:
+        return rest  # argparse reports the missing or unknown subcommand
+    command = rest[at]
+    flags = commands[command].flags - {"--help"}
+    inserted = []
     for key, value in raw.items():
-        dest = "lam" if key == "lambda" else key.replace("-", "_")
-        if dest not in known:
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
             raise ValueError(f"unknown config key {key!r} for command {command!r}")
-        mapped[dest] = value
-    sub.set_defaults(**mapped)
-    # required flags satisfied by the config must not be demanded again
-    for action in sub._actions:
-        if action.dest in mapped:
-            action.required = False
+        if isinstance(value, bool):
+            if value:
+                inserted.append(flag)
+        elif isinstance(value, (int, float, str)):
+            inserted.append(f"{flag}={value}")
+        else:
+            raise ValueError(f"config key {key!r} needs a number, string or boolean")
+    return rest[: at + 1] + inserted + rest[at + 1 :]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _apply_config(argv, commands)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config(argv, commands))
         return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

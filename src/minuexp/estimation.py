@@ -23,7 +23,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, brentq, minimize
 
 __all__ = [
     "FitResult",
@@ -133,6 +132,8 @@ def fit_mom_from_moments(m1: float, m2: float, x_max: float | None = None) -> Fi
     x_max (the largest observation) is required only when the uniform
     fallback triggers, where it is the natural estimate of a.
     """
+    from scipy.optimize import brentq
+
     if not (math.isfinite(m1) and m1 > 0.0 and math.isfinite(m2) and m2 > 0.0):
         raise ValueError("moments m1 and m2 must be finite and positive")
     if m2 - m1**2 <= 0.0:
@@ -243,6 +244,8 @@ def fit_lsq(values) -> FitResult:
     Constraints a >= max observation, lambda >= 0; Nelder-Mead simplex
     started from the method-of-moments fit when it is usable.
     """
+    from scipy.optimize import Bounds, minimize
+
     arr = _validate_sample(values)
     x_max = float(np.max(arr))
     m1 = float(np.mean(arr))

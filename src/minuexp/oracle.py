@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import chi2 as chi2_dist
+from scipy import integrate, special
 
 from .structure import MinUExpParams, pdf
 
@@ -137,4 +136,4 @@ def chi_square_pmf(observed, expected, total: int) -> tuple[float, int, float]:
     obs_a, exp_a = np.asarray(obs), np.asarray(exp_n)
     statistic = float(np.sum((obs_a - exp_a) ** 2 / exp_a))
     dof = len(exp_n) - 1
-    return statistic, dof, float(chi2_dist.sf(statistic, dof))
+    return statistic, dof, float(special.chdtrc(dof, statistic))

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minuexp
 from minuexp import MinUExpParams, count_pmf, fit_mom, hazard, make_stream, sample
 from minuexp.cli import main
 
@@ -231,14 +236,46 @@ class TestConfig:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ([], ["--config", "{path}"]),
+            ([], ["--config={path}"]),
+            (["--config", "{path}"], []),
+            (["--config={path}"], []),
+        ],
+        ids=["after-space", "after-equals", "before-space", "before-equals"],
+    )
+    def test_config_spellings_and_positions(self, capsys, tmp_path, before, after):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"a": 2.0, "lambda": 1.0, "fn": "cdf", "grid": "1:1:1"}))
+        argv = [tok.format(path=config) for tok in [*before, "eval", *after, "--a", "1"]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert float(out.strip().splitlines()[1].split(",")[1]) == 1.0
+
+    def test_boolean_key_sets_flag(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"quick": True, "format": "csv"}))
+        code, out, _ = run_cli(capsys, "validate", "--config", str(config))
+        assert code == 0
+        assert out.splitlines()[0] == "name,value,reference,rel_err,tol,expect,passed"
+
+    def test_non_scalar_value_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid": [0, 1]}))
+        code, _, err = run_cli(capsys, "eval", "--config", str(config))
+        assert code == 2
+        assert "grid" in err
+
 
 class TestValidate:
     def test_failures_exit_one(self, capsys, monkeypatch):
-        from minuexp import cli
+        from minuexp import validation
         from minuexp.validation import CheckRow
 
         failing = [CheckRow("forced failure", 1.0, 2.0, 0.5, 1e-8, "match", False)]
-        monkeypatch.setattr(cli, "run_validation", lambda quick=False: failing)
+        monkeypatch.setattr(validation, "run_validation", lambda quick=False: failing)
         code, out, _ = run_cli(capsys, "validate", "--quick")
         assert code == 1
         assert "FAIL" in out
@@ -254,3 +291,35 @@ class TestValidate:
         code, out, _ = run_cli(capsys, "validate", "--quick", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "name,value,reference,rel_err,tol,expect,passed"
+
+
+_COLD_START = """
+import json, sys
+import minuexp.cli
+lazy = ("scipy.optimize", "scipy.integrate", "scipy.stats")
+at_import = [m for m in lazy if m in sys.modules]
+code = minuexp.cli.main(["fit", "--method", "mom", "--input", sys.argv[1]])
+print(json.dumps({"at_import": at_import, "fit_loaded_optimize": "scipy.optimize" in sys.modules,
+                  "code": code}))
+"""
+
+
+def test_cold_start_loads_scipy_submodules_only_where_called(tmp_path):
+    """`import minuexp.cli` loads numpy and scipy.special alone; `fit` loads
+    scipy.optimize when it runs.  A fresh interpreter is needed because this
+    test process has long since imported everything."""
+    draws = tmp_path / "draws.csv"
+    draws.write_text("".join("%.17g\n" % v for v in sample(P11, make_stream(3), size=500)))
+    env = dict(os.environ)
+    package_root = str(Path(minuexp.__file__).resolve().parents[1])
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(draws)],
+        capture_output=True, cwd=tmp_path, env=env, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["at_import"] == []
+    assert report["fit_loaded_optimize"] is True
+    assert report["code"] == 0

@@ -134,6 +134,17 @@ class TestChiSquare:
         with pytest.raises(ValueError):
             chi_square_pmf([3, 1], [0.7, 0.3], 4)
 
+    def test_p_value_is_scipy_stats_chi2_sf_exactly(self):
+        from scipy.stats import chi2
+
+        rng = make_stream(31)
+        for cells, total in ((2, 100), (5, 1000), (12, 20_000), (40, 500_000)):
+            expected = rng.dirichlet(np.full(cells, 5.0))
+            # drawn from the expected law (moderate p) and from another (p near 0)
+            for law in (expected, rng.dirichlet(np.full(cells, 5.0))):
+                stat, dof, p = chi_square_pmf(rng.multinomial(total, law), expected, total)
+                assert p == float(chi2.sf(stat, dof))
+
 
 def test_quadrature_and_monte_carlo_agree():
     kernels = [
