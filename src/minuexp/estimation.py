@@ -66,6 +66,8 @@ class FitResult:
     x_star: float | None = None
     objective: float | None = None
     diagnostic: str | None = None
+    iterations: int | None = None  # optimizer iterations (lsq only)
+    evaluations: int | None = None  # objective evaluations (lsq only)
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; non-finite numbers become None."""
@@ -229,20 +231,18 @@ def ecdf(values) -> EmpiricalCdf:
     return EmpiricalCdf(values)
 
 
-def _cdf_allowing_uniform(a: float, lam: float, x: np.ndarray) -> np.ndarray:
-    """Closed-form c.d.f. extended continuously to lambda = 0 (pure uniform)."""
-    e = np.exp(-lam * x)
-    body = 1.0 - e + x / a * e
-    return np.where(x > a, 1.0, np.where(x <= 0.0, 0.0, body))
-
-
 def fit_lsq(values) -> FitResult:
     """Least-squares fit of the c.d.f. against the empirical one.
 
     Objective: sum over observations of (Fhat(x_i) - F(x_i; a, lambda))^2,
     with the empirical value taken at the data points, jumps included.
     Constraints a >= max observation, lambda >= 0; Nelder-Mead simplex
-    started from the method-of-moments fit when it is usable.
+    started from the method-of-moments fit when it is usable.  The bounds
+    clip every vertex into the constraint set and the sample is positive,
+    so every observation lies in (0, a] and the objective evaluates the
+    c.d.f. body 1 - e^(-lambda x) + (x/a) e^(-lambda x) without masks; it
+    stays continuous at lambda = 0, the pure uniform.  iterations and
+    evaluations report the simplex's iteration and objective-call counts.
     """
     from scipy.optimize import Bounds, minimize
 
@@ -259,7 +259,8 @@ def fit_lsq(values) -> FitResult:
 
     def objective(theta):
         a, lam = theta
-        return float(np.sum((ecdf_at_obs - _cdf_allowing_uniform(a, lam, arr)) ** 2))
+        e = np.exp(-lam * arr)
+        return float(np.sum((ecdf_at_obs - (1.0 - e + arr / a * e)) ** 2))
 
     result = minimize(
         objective,
@@ -276,4 +277,6 @@ def fit_lsq(values) -> FitResult:
         r_hat=float(np.mean(arr**2)) / m1**2,
         objective=float(result.fun),
         diagnostic=None if result.success else str(result.message),
+        iterations=int(result.nit),
+        evaluations=int(result.nfev),
     )

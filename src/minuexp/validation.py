@@ -168,16 +168,22 @@ def _tau_posterior_mean_sign_variant(params: MinUExpParams, t: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Report assembly.
+# Report assembly.  An integral that several rows need is computed once
+# per parameter pair, and only where the integrand expression is the same,
+# so every row's reference is the value its own integrand would give.
 # ----------------------------------------------------------------------
 
 
-def _structure_rows(rows: list[CheckRow], params: MinUExpParams, tag: str) -> None:
+def _structure_rows(
+    rows: list[CheckRow], params: MinUExpParams, tag: str
+) -> tuple[dict[int, float], float, float]:
+    """Append the structure rows; return the integrals of x**k (k = 1, 2), x
+    and x * x against the density, which the count rows reuse."""
     rows.append(
         _match(f"{tag} density normalization", mix_integral(params, lambda x: 1.0).value, 1.0, 1e-10)
     )
-    for k in (1, 2):
-        ref = mix_integral(params, lambda x, k=k: x**k).value
+    raw = {k: mix_integral(params, lambda x, k=k: x**k).value for k in (1, 2)}
+    for k, ref in raw.items():
         rows.append(_match(f"{tag} raw moment k={k}", structure.raw_moment(params, k), ref, 1e-10))
     m1 = mix_integral(params, lambda x: x).value
     m2 = mix_integral(params, lambda x: x * x).value
@@ -188,16 +194,18 @@ def _structure_rows(rows: list[CheckRow], params: MinUExpParams, tag: str) -> No
         rows.append(
             _match(f"{tag} waiting-time cdf t={t}", interarrival.tau_cdf(params, t), 1.0 - ref, 1e-10)
         )
+    return raw, m1, m2
 
 
 def _interarrival_rows(
     rows: list[CheckRow], params: MinUExpParams, tag: str, t_grid, n_erlang: int
 ) -> None:
-    for t in t_grid:
-        ref = mix_integral(params, lambda x, t=t: x * math.exp(-t * x)).value
+    tau_pdf_ref = {t: mix_integral(params, lambda x, t=t: x * math.exp(-t * x)).value for t in t_grid}
+    for t, ref in tau_pdf_ref.items():
         rows.append(_match(f"{tag} waiting-time pdf t={t}", interarrival.tau_pdf(params, t), ref, 1e-8))
-    for p in (-0.5, 0.5):
-        ref = math.gamma(p + 1.0) * mix_integral(params, lambda x, p=p: x**-p).value
+    inverse_moment = {p: mix_integral(params, lambda x, p=p: x**-p).value for p in (-0.5, 0.5)}
+    for p, integral in inverse_moment.items():
+        ref = math.gamma(p + 1.0) * integral
         rows.append(_match(f"{tag} waiting-time moment p={p}", interarrival.tau_moment(params, p), ref, 1e-8))
     # bivariate density marginalizes to the waiting-time density
     t = t_grid[0]
@@ -214,7 +222,7 @@ def _interarrival_rows(
     )[0]
     rows.append(_match(f"{tag} rate-posterior normalization t={t}", post_norm, 1.0, 1e-8))
     num = mix_integral(params, lambda x, t=t: x * x * math.exp(-t * x)).value
-    den = mix_integral(params, lambda x, t=t: x * math.exp(-t * x)).value
+    den = tau_pdf_ref[t]
     rows.append(
         _match(f"{tag} rate-posterior mean t={t}", interarrival.mean_xi_given_tau(params, t), num / den, 1e-8)
     )
@@ -235,18 +243,23 @@ def _interarrival_rows(
                 _match(f"{tag} arrival-epoch pdf n={n} t={t}", interarrival.erlang_pdf(params, n, t), ref, 1e-8)
             )
     for n in (1, 2):
-        for p in (-0.5, 0.5):
-            ref = (
-                math.gamma(p + n)
-                / math.gamma(n)
-                * mix_integral(params, lambda x, p=p: x**-p).value
-            )
+        for p, integral in inverse_moment.items():
+            ref = math.gamma(p + n) / math.gamma(n) * integral
             rows.append(
                 _match(f"{tag} arrival-epoch moment n={n} p={p}", interarrival.erlang_moment(params, n, p), ref, 1e-8)
             )
 
 
-def _counting_rows(rows: list[CheckRow], params: MinUExpParams, tag: str, n_max: int) -> None:
+def _counting_rows(
+    rows: list[CheckRow],
+    params: MinUExpParams,
+    tag: str,
+    n_max: int,
+    raw: dict[int, float],
+    m1: float,
+    m2: float,
+) -> None:
+    """Append the count rows; raw, m1 and m2 are _structure_rows' integrals."""
     for n in range(0, n_max + 1):
         ref = mix_integral(
             params, lambda x, n=n: x**n * math.exp(-x) / math.factorial(n)
@@ -261,13 +274,11 @@ def _counting_rows(rows: list[CheckRow], params: MinUExpParams, tag: str, n_max:
             break
         n += 1
     rows.append(_match(f"{tag} count pmf normalization", total, 1.0, 1e-10))
-    mean_ref = mix_integral(params, lambda x: x).value
-    var_ref = mean_ref + mix_integral(params, lambda x: x * x).value - mean_ref**2
     mean, var = counting.count_mean_var(params, 1.0)
-    rows.append(_match(f"{tag} count mean", mean, mean_ref, 1e-10))
-    rows.append(_match(f"{tag} count variance", var, var_ref, 1e-10))
+    rows.append(_match(f"{tag} count mean", mean, m1, 1e-10))
+    rows.append(_match(f"{tag} count variance", var, m1 + m2 - m1**2, 1e-10))
     for k in (1, 2, 3):
-        ref = 0.8**k * mix_integral(params, lambda x, k=k: x**k).value
+        ref = 0.8**k * (raw[k] if k in raw else mix_integral(params, lambda x, k=k: x**k).value)
         rows.append(
             _match(f"{tag} factorial moment k={k}", counting.factorial_moment(params, 0.8, k), ref, 1e-8)
         )
@@ -308,12 +319,13 @@ def _adjudication_rows(rows: list[CheckRow]) -> None:
     p11 = MinUExpParams(1.0, 1.0)
     p21 = MinUExpParams(2.0, 1.0)
 
-    oracle = mix_integral(p11, lambda x: x * math.exp(-x)).value
+    # integral of x e^(-x) at (1, 1): three rows below use it
+    x_exp = mix_integral(p11, lambda x: x * math.exp(-x)).value
     rows.append(
-        _match("arrival-epoch pdf corrected form n=1", interarrival.erlang_pdf(p11, 1, 1.0), oracle, 1e-8)
+        _match("arrival-epoch pdf corrected form n=1", interarrival.erlang_pdf(p11, 1, 1.0), x_exp, 1e-8)
     )
     rows.append(
-        _deviate("arrival-epoch pdf low-power variant n=1", _erlang_pdf_low_power_variant(p11, 1, 1.0), oracle, 1e-2)
+        _deviate("arrival-epoch pdf low-power variant n=1", _erlang_pdf_low_power_variant(p11, 1, 1.0), x_exp, 1e-2)
     )
 
     grid, kvec = [1.0], [2]
@@ -351,30 +363,28 @@ def _adjudication_rows(rows: list[CheckRow]) -> None:
         )
     )
 
-    num = mix_integral(p11, lambda x: x * math.exp(-x)).value
     den = mix_integral(p11, lambda x: math.exp(-x)).value
     rows.append(
-        _match("count-posterior mean corrected form n=0", counting.mean_xi_given_count(p11, 1.0, 0), num / den, 1e-8)
+        _match("count-posterior mean corrected form n=0", counting.mean_xi_given_count(p11, 1.0, 0), x_exp / den, 1e-8)
     )
     rows.append(
         _deviate(
             "count-posterior mean quadratic-coefficient variant n=0",
             _posterior_mean_quadratic_coefficient_variant(p11, 1.0, 0),
-            num / den,
+            x_exp / den,
             1e-2,
         )
     )
 
     tnum = mix_integral(p11, lambda x: x * x * math.exp(-x)).value
-    tden = mix_integral(p11, lambda x: x * math.exp(-x)).value
     rows.append(
-        _match("rate-posterior mean corrected form t=1", interarrival.mean_xi_given_tau(p11, 1.0), tnum / tden, 1e-8)
+        _match("rate-posterior mean corrected form t=1", interarrival.mean_xi_given_tau(p11, 1.0), tnum / x_exp, 1e-8)
     )
     rows.append(
         _deviate(
             "rate-posterior mean sign variant t=1",
             _tau_posterior_mean_sign_variant(p11, 1.0),
-            tnum / tden,
+            tnum / x_exp,
             1e-2,
         )
     )
@@ -395,8 +405,8 @@ def run_validation(quick: bool = False) -> list[CheckRow]:
     rows: list[CheckRow] = []
     for params in param_grid:
         tag = f"(a={params.a:g}, lambda={params.lam:g})"
-        _structure_rows(rows, params, tag)
+        raw, m1, m2 = _structure_rows(rows, params, tag)
         _interarrival_rows(rows, params, tag, t_grid, n_erlang)
-        _counting_rows(rows, params, tag, n_count)
+        _counting_rows(rows, params, tag, n_count, raw, m1, m2)
     _adjudication_rows(rows)
     return rows

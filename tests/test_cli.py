@@ -152,6 +152,20 @@ class TestSampleAndFit:
         assert payload["objective"] >= 0.0
         assert payload["a_hat"] == pytest.approx(1.0, rel=0.10)
 
+    def test_fit_reports_optimizer_counts(self, capsys, tmp_path):
+        draws = tmp_path / "draws.csv"
+        run_cli(
+            capsys, "sample", "--a", "1", "--lambda", "1", "--n-draws", "5000",
+            "--seed", "6", "--output", str(draws),
+        )
+        _, out, _ = run_cli(capsys, "fit", "--input", str(draws), "--method", "lsq")
+        lsq = json.loads(out)
+        assert isinstance(lsq["iterations"], int) and isinstance(lsq["evaluations"], int)
+        assert 0 < lsq["iterations"] <= lsq["evaluations"]
+        _, out, _ = run_cli(capsys, "fit", "--input", str(draws), "--method", "mom")
+        mom = json.loads(out)
+        assert mom["iterations"] is None and mom["evaluations"] is None
+
     def test_fit_nonconvergence_exit_3(self, capsys, tmp_path):
         heavy = tmp_path / "heavy.txt"
         heavy.write_text("\n".join(["1.0", "1.0", "1.0", "10.0"]) + "\n")

@@ -217,6 +217,43 @@ class TestFitLsq:
         assert scaled.a_hat == pytest.approx(10.0 * base.a_hat, rel=1e-4)
         assert scaled.lambda_hat == pytest.approx(base.lambda_hat / 10.0, rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "params, seed", [(P11, 21), (P110, 22), (MinUExpParams(2.0, 4.0), 23)]
+    )
+    def test_matches_masked_objective_bit_for_bit(self, params, seed):
+        # Nelder-Mead on the c.d.f. with its (0, a] masks: the bounds keep
+        # every vertex at a >= max observation, so dropping the masks must
+        # not move a single evaluation
+        from scipy.optimize import Bounds, minimize
+
+        arr = np.sort(sample(params, make_stream(seed), size=20_000))
+        x_max = float(np.max(arr))
+        ecdf_at_obs = ecdf(arr)(arr)
+        mom = fit_mom(arr)
+        if mom.converged and mom.lambda_hat > 0.0 and math.isfinite(mom.a_hat):
+            start = (max(mom.a_hat, x_max), mom.lambda_hat)
+        else:
+            start = (1.05 * x_max, 1.0 / float(np.mean(arr)))
+
+        def masked_objective(theta):
+            a, lam = theta
+            e = np.exp(-lam * arr)
+            body = 1.0 - e + arr / a * e
+            model = np.where(arr > a, 1.0, np.where(arr <= 0.0, 0.0, body))
+            return float(np.sum((ecdf_at_obs - model) ** 2))
+
+        ref = minimize(
+            masked_objective,
+            x0=np.asarray(start),
+            method="Nelder-Mead",
+            bounds=Bounds(lb=[x_max, 0.0], ub=[np.inf, np.inf]),
+            options={"maxiter": 4000, "maxfev": 8000, "xatol": 1e-10, "fatol": 1e-12},
+        )
+        fit = fit_lsq(arr)
+        assert (fit.a_hat, fit.lambda_hat, fit.objective) == (ref.x[0], ref.x[1], ref.fun)
+        assert (fit.iterations, fit.evaluations) == (ref.nit, ref.nfev)
+        assert fit.converged is bool(ref.success)
+
 
 def test_fit_result_serialization_handles_infinities():
     result = fit_mom_from_moments(1.0, 2.5)

@@ -5,10 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from minuexp import cdf, make_stream, sample, tau_sample
-from minuexp.oracle import OracleResult, chi_square_pmf, ks_statistic, mc_mean, mix_integral
+from minuexp import cdf, make_stream, pdf, sample, tau_sample
+from minuexp.oracle import (
+    OracleError,
+    OracleResult,
+    _scalar_density,
+    chi_square_pmf,
+    ks_statistic,
+    mc_mean,
+    mix_integral,
+)
 
-from conftest import FROZEN_LST_AT_1, FROZEN_MEAN, P11, PARAM_GRID
+from conftest import FROZEN_LST_AT_1, FROZEN_MEAN, P11, P110, PARAM_GRID
 
 
 class TestMixIntegral:
@@ -35,6 +43,22 @@ class TestMixIntegral:
         a = mix_integral(P11, lambda x: x**3)
         b = mix_integral(P11, lambda x: x**3)
         assert a == b
+
+    def test_scalar_density_equals_structure_pdf(self):
+        rng = make_stream(31)
+        for p in PARAM_GRID + [P110]:
+            density = _scalar_density(p)
+            for x in rng.uniform(0.0, p.a, size=200):
+                x = float(x)
+                if 0.0 < x < p.a:
+                    assert density(x) == pytest.approx(pdf(p, x), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+    def test_unresolved_integral_raises_at_every_scale(self, scale):
+        # an error estimate above the value itself must not pass as
+        # converged, however small the value
+        with pytest.raises(OracleError):
+            mix_integral(P11, lambda x: scale * math.sin(1e4 * x))
 
 
 class TestMcMean:

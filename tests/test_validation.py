@@ -1,5 +1,8 @@
 """The validation report: everything passes, variants demonstrably deviate."""
 
+import pytest
+
+import minuexp.validation
 from minuexp.validation import run_validation
 
 EXPECTED_VARIANT_ROWS = {
@@ -29,3 +32,21 @@ def test_adjudication_rows_demonstrate_deviation():
     corrected = [r for r in rows if "corrected form" in r.name]
     assert len(corrected) == len(EXPECTED_VARIANT_ROWS)
     assert all(r.passed and r.rel_err <= 1e-8 for r in corrected)
+
+
+@pytest.mark.parametrize("quick, calls", [(True, 69), (False, 824)])
+def test_each_shared_integral_is_computed_once(monkeypatch, quick, calls):
+    # repeated integrands (x, x * x, x**k, x**-p, x e^(-t x)) are shared
+    # between rows instead of being integrated again
+    count = 0
+    inner = minuexp.validation.mix_integral
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(minuexp.validation, "mix_integral", counting)
+    rows = run_validation(quick=quick)
+    assert count == calls
+    assert all(r.passed for r in rows)
