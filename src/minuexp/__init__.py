@@ -34,20 +34,12 @@ from .estimation import (
     fit_mom_from_moments,
     ratio_G,
 )
-from .gamma_kernel import (
-    complete_gamma,
-    factorial,
-    log_gamma,
-    log_lower_incomplete_gamma,
-    lower_incomplete_gamma,
-    upper_incomplete_gamma,
-)
+from .gamma_kernel import log_lower_incomplete_gamma, lower_incomplete_gamma
 from .interarrival import (
     bivariate_pdf,
     erlang_moment,
     erlang_pdf,
     interarrival_vector_sample,
-    mean_tau_given_xi,
     mean_xi_given_tau,
     multivariate_pdf_II,
     tau_cdf,

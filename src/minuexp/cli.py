@@ -154,14 +154,12 @@ def _cmd_eval(args) -> int:
             xs = np.array([args.z])
         else:
             raise ValueError("--fn pgf requires --z or --grid")
-        values = np.array([counting.pgf(params, args.mu_t, float(z)) for z in xs])
+        values = counting.pgf(params, args.mu_t, xs)
     elif fn == "posterior-mean":
         if args.mu_t is None or args.n is None:
             raise ValueError("--fn posterior-mean requires --mu-t and --n")
         xs = _parse_count_range(args.n)
-        values = np.array(
-            [counting.mean_xi_given_count(params, args.mu_t, int(k)) for k in xs]
-        )
+        values = counting.mean_xi_given_count(params, args.mu_t, xs)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown function {fn!r}")
     _write(_xy_table(xs, np.atleast_1d(values), args.format), args.output)

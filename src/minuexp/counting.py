@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from ._mixture import log_mixing_kernel
-from .gamma_kernel import lower_incomplete_gamma
 from .structure import MinUExpParams, lst, variance
 
 __all__ = [
@@ -46,6 +45,26 @@ def _validate_counts(values, name: str) -> np.ndarray:
     return arr
 
 
+def _count_indices(n, name: str) -> tuple[np.ndarray, bool]:
+    """n as a nonempty vector of nonnegative integers, and whether it was a scalar."""
+    n_arr = np.asarray(n)
+    counts = _validate_counts(np.atleast_1d(n_arr), name)
+    if np.any(counts < 0):
+        raise ValueError(f"{name} must be nonnegative")
+    return counts, n_arr.ndim == 0
+
+
+def _nonnegative_int(n, name: str) -> int:
+    if n < 0 or int(n) != n:
+        raise ValueError(f"{name} must be a nonnegative integer")
+    return int(n)
+
+
+def _check_mu_t(mu_t: float) -> None:
+    if not (math.isfinite(mu_t) and mu_t > 0.0):
+        raise ValueError("accumulated intensity mu_t must be positive")
+
+
 def _validate_grid(mu) -> np.ndarray:
     grid = np.asarray(mu, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -63,11 +82,7 @@ def count_pmf(params: MinUExpParams, n):
 
     Vectorized over n; raises for negative n.
     """
-    n_arr = np.asarray(n)
-    scalar = n_arr.ndim == 0
-    counts = _validate_counts(np.atleast_1d(n_arr), "count index n")
-    if np.any(counts < 0):
-        raise ValueError("count index n must be nonnegative")
+    counts, scalar = _count_indices(n, "count index n")
     log_pmf = log_mixing_kernel(params, counts, params.lam + 1.0) - np.array(
         [math.lgamma(k + 1.0) for k in counts]
     )
@@ -77,8 +92,7 @@ def count_pmf(params: MinUExpParams, n):
 
 def scaled_count_params(params: MinUExpParams, mu_t: float) -> MinUExpParams:
     """Count-law parameters at accumulated intensity mu_t: (a mu_t, lambda/mu_t)."""
-    if not (math.isfinite(mu_t) and mu_t > 0.0):
-        raise ValueError("accumulated intensity mu_t must be positive")
+    _check_mu_t(mu_t)
     return MinUExpParams(params.a * mu_t, params.lam / mu_t)
 
 
@@ -88,8 +102,7 @@ def pgf(params: MinUExpParams, mu_t: float, z):
     Equals the mixing variable's Laplace-Stieltjes transform at
     mu_t (1 - z); in particular pgf(1) = 1 and pgf(0) = P(N(t) = 0).
     """
-    if not (math.isfinite(mu_t) and mu_t > 0.0):
-        raise ValueError("accumulated intensity mu_t must be positive")
+    _check_mu_t(mu_t)
     z_arr = np.asarray(z, dtype=float)
     if np.any(np.abs(z_arr) > 1.0) or np.any(np.isnan(z_arr)):
         raise ValueError("generating-function argument z must satisfy |z| <= 1")
@@ -102,8 +115,7 @@ def count_mean_var(params: MinUExpParams, mu_t: float) -> tuple[float, float]:
     mean = (mu/lambda)(1 - 1/(a lambda) + e^(-lambda a)/(a lambda)),
     var  = mean + mu^2 Var(xi).  The law is over-dispersed: var > mean.
     """
-    if not (math.isfinite(mu_t) and mu_t > 0.0):
-        raise ValueError("accumulated intensity mu_t must be positive")
+    _check_mu_t(mu_t)
     a, lam = params.a, params.lam
     z = a * lam
     mean = mu_t / lam * (1.0 - 1.0 / z + math.exp(-z) / z)
@@ -111,23 +123,17 @@ def count_mean_var(params: MinUExpParams, mu_t: float) -> tuple[float, float]:
 
 
 def factorial_moment(params: MinUExpParams, mu_t: float, k: int) -> float:
-    """k-th factorial moment E[N(N-1)...(N-k+1)] at intensity mu_t:
+    """k-th factorial moment E[N(N-1)...(N-k+1)] = mu^k J(k, lambda) at
+    intensity mu_t: the k-th raw moment of the Poisson mean mu xi.
 
-    k mu^k / lambda^k (gamma(k, a lambda) - gamma(k+1, a lambda)/(a lambda))
+    The power of mu is added to log J, so the result is inf past overflow.
     """
-    if not (math.isfinite(mu_t) and mu_t > 0.0):
-        raise ValueError("accumulated intensity mu_t must be positive")
+    _check_mu_t(mu_t)
     if k < 1 or int(k) != k:
         raise ValueError("factorial-moment order k must be a positive integer")
     k = int(k)
-    a, lam = params.a, params.lam
-    z = a * lam
-    return (
-        k
-        * mu_t**k
-        / lam**k
-        * (lower_incomplete_gamma(k, z) - lower_incomplete_gamma(k + 1, z) / z)
-    )
+    with np.errstate(over="ignore"):
+        return float(np.exp(k * math.log(mu_t) + log_mixing_kernel(params, k, params.lam)))
 
 
 def ordered_pmf(params: MinUExpParams, mu, k) -> float:
@@ -190,11 +196,8 @@ def xi_given_count_pdf(params: MinUExpParams, mu_t: float, n: int, x):
 
     where a J is the normalizing mixture integral at (n, lambda+mu).
     """
-    if not (math.isfinite(mu_t) and mu_t > 0.0):
-        raise ValueError("accumulated intensity mu_t must be positive")
-    if n < 0 or int(n) != n:
-        raise ValueError("count n must be a nonnegative integer")
-    n = int(n)
+    _check_mu_t(mu_t)
+    n = _nonnegative_int(n, "count n")
     a, lam = params.a, params.lam
     c = lam + mu_t
     log_norm = math.log(a) + log_mixing_kernel(params, n, c)
@@ -210,32 +213,30 @@ def xi_given_count_pdf(params: MinUExpParams, mu_t: float, n: int, x):
     return float(out[0]) if scalar else out
 
 
-def mean_xi_given_count(params: MinUExpParams, mu_t: float, n: int) -> float:
+def mean_xi_given_count(params: MinUExpParams, mu_t: float, n):
     """Posterior mean E(xi | N(t) = n), always in (0, a).
 
     Ratio of the mixture integrals at orders n+1 and n; the coefficient in
     the expanded numerator is (n+1) lambda, linear in n (the quadratic
     variant overshoots the prior mean at n = 0 and fails the oracle).
+    Vectorized over n; a scalar n returns a float.
     """
-    if not (math.isfinite(mu_t) and mu_t > 0.0):
-        raise ValueError("accumulated intensity mu_t must be positive")
-    if n < 0 or int(n) != n:
-        raise ValueError("count n must be a nonnegative integer")
-    n = int(n)
-    c = params.lam + mu_t
-    return math.exp(
-        log_mixing_kernel(params, n + 1, c) - log_mixing_kernel(params, n, c)
-    )
+    _check_mu_t(mu_t)
+    counts, scalar = _count_indices(n, "count n")
+    log_j = log_mixing_kernel(params, np.stack([counts + 1, counts]), params.lam + mu_t)
+    # math.exp per entry, as for scalars: np.exp differs from it in the last
+    # bit on a few percent of arguments, and the CLI prints all 17 digits
+    out = np.array([math.exp(d) for d in (log_j[0] - log_j[1]).tolist()])
+    return float(out[0]) if scalar else out
 
 
 def conditional_binomial_pmf(n: int, ratio: float, j: int) -> float:
     """Binomial p.m.f. Bi(n, ratio) at j: the law of an earlier count given
     a later count n, with ratio the accumulated-intensity quotient."""
-    if n < 0 or int(n) != n:
-        raise ValueError("total count n must be a nonnegative integer")
+    n = _nonnegative_int(n, "total count n")
     if j < 0 or int(j) != j or j > n:
         raise ValueError("count j must be an integer with 0 <= j <= n")
     if not 0.0 < ratio < 1.0:
         raise ValueError("intensity ratio must lie strictly inside (0, 1)")
-    n, j = int(n), int(j)
+    j = int(j)
     return math.comb(n, j) * ratio**j * (1.0 - ratio) ** (n - j)

@@ -1,33 +1,22 @@
-"""Incomplete gamma functions and related special-function plumbing.
-
-Every closed form in this package is built from the lower and upper
-incomplete gamma functions
+"""Lower incomplete gamma function, direct and in log space.
 
     gamma(s, x) = integral_0^x u^(s-1) e^(-u) du
-    Gamma(s, x) = integral_x^inf u^(s-1) e^(-u) du
 
-together with the complete gamma function and factorials.  The standard
-scipy.special routines (series / continued-fraction evaluations) back the
-ordinary range; a dedicated log-space path covers arguments where the
-regularized function underflows (x much smaller than s), which happens in
-count p.m.f. evaluations with large totals.
+The mixing kernel in minuexp._mixture builds every closed form of the
+family from log gamma(s, x); nothing else in the package needs incomplete
+gamma algebra.  The regularized scipy.special routine backs the ordinary
+range; a log-space ascending series covers arguments where the regularized
+function underflows (x much smaller than s), which happens in count p.m.f.
+evaluations with large totals.  The direct gamma(s, x) serves the
+validation report's reference rows.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import special as sp
 
-__all__ = [
-    "lower_incomplete_gamma",
-    "upper_incomplete_gamma",
-    "log_lower_incomplete_gamma",
-    "complete_gamma",
-    "log_gamma",
-    "factorial",
-]
+__all__ = ["lower_incomplete_gamma", "log_lower_incomplete_gamma"]
 
 # Below this the regularized lower gamma is too close to the underflow
 # threshold to take a log of safely.
@@ -51,16 +40,6 @@ def lower_incomplete_gamma(s, x):
     """
     s, x = _validate_args(s, x)
     out = sp.gammainc(s, x) * sp.gamma(s)
-    return out if out.ndim else float(out)
-
-
-def upper_incomplete_gamma(s, x):
-    """Non-regularized upper incomplete gamma function Gamma(s, x).
-
-    Complements the lower function: gamma(s, x) + Gamma(s, x) = Gamma(s).
-    """
-    s, x = _validate_args(s, x)
-    out = sp.gammaincc(s, x) * sp.gamma(s)
     return out if out.ndim else float(out)
 
 
@@ -102,28 +81,3 @@ def log_lower_incomplete_gamma(s, x):
         key = tuple(idx)
         out[key] = _log_lower_gamma_series(float(s_b[key]), float(x_b[key]))
     return out if out.ndim else float(out)
-
-
-def complete_gamma(s):
-    """Complete gamma function Gamma(s) for s > 0."""
-    s = np.asarray(s, dtype=float)
-    if np.any(~np.isfinite(s)) or np.any(s <= 0.0):
-        raise ValueError("shape argument s must be a finite positive real")
-    out = sp.gamma(s)
-    return out if out.ndim else float(out)
-
-
-def log_gamma(s):
-    """log Gamma(s) for s > 0."""
-    s = np.asarray(s, dtype=float)
-    if np.any(~np.isfinite(s)) or np.any(s <= 0.0):
-        raise ValueError("shape argument s must be a finite positive real")
-    out = sp.gammaln(s)
-    return out if out.ndim else float(out)
-
-
-def factorial(n: int) -> int:
-    """Exact integer factorial n! for n >= 0."""
-    if n < 0 or int(n) != n:
-        raise ValueError("factorial argument must be a nonnegative integer")
-    return math.factorial(int(n))

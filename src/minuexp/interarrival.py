@@ -16,8 +16,7 @@ import numpy as np
 
 from . import structure
 from ._mixture import log_mixing_kernel, mixing_kernel
-from .gamma_kernel import complete_gamma, lower_incomplete_gamma
-from .structure import MinUExpParams, _as_array
+from .structure import MinUExpParams, _finish
 
 __all__ = [
     "tau_cdf",
@@ -26,7 +25,6 @@ __all__ = [
     "tau_sample",
     "bivariate_pdf",
     "xi_given_tau_pdf",
-    "mean_tau_given_xi",
     "mean_xi_given_tau",
     "multivariate_pdf_II",
     "erlang_pdf",
@@ -43,13 +41,13 @@ def tau_cdf(params: MinUExpParams, t):
     and 0 for t <= 0.  Equals 1 minus the structure law's transform.
     """
     a, lam = params.a, params.lam
-    arr, scalar = _as_array(t)
+    arr = np.asarray(t, dtype=float)
     pos = arr > 0.0
     ti = np.where(pos, arr, 1.0)
     c = lam + ti
     body = ti / c - ti / (a * c**2) * (-np.expm1(-a * c))
     out = np.where(pos, body, 0.0)
-    return float(out) if scalar else out
+    return _finish(arr, out)
 
 
 def tau_pdf(params: MinUExpParams, t):
@@ -59,31 +57,24 @@ def tau_pdf(params: MinUExpParams, t):
     - t/(lambda+t)^2 e^(-a(lambda+t))
     """
     a, lam = params.a, params.lam
-    arr, scalar = _as_array(t)
+    arr = np.asarray(t, dtype=float)
     pos = arr > 0.0
     ti = np.where(pos, arr, 1.0)
     c = lam + ti
     e = np.exp(-a * c)
     body = lam / c**2 + (ti - lam) / (a * c**3) * (1.0 - e) - ti / c**2 * e
     out = np.where(pos, body, 0.0)
-    return float(out) if scalar else out
+    return _finish(arr, out)
 
 
 def tau_moment(params: MinUExpParams, power: float) -> float:
-    """E(tau^p), finite exactly for p in (-1, 1):
+    """E(tau^p) = Gamma(p+1) J(-p, lambda), finite exactly for p in (-1, 1).
 
-    (1/a) Gamma(p+1) lambda^(p-1) ((lambda a + 1) gamma(1-p, a lambda)
-                                   - gamma(2-p, a lambda))
-
-    Returns math.inf outside that range (the moment diverges there).
+    tau = eta/xi with eta ~ Exp(1) independent of xi, so this is the
+    arrival-epoch moment at n = 1.  Returns math.inf outside that range
+    (the moment diverges there).
     """
-    if not -1.0 < power < 1.0:
-        return math.inf
-    a, lam = params.a, params.lam
-    z = a * lam
-    g1 = lower_incomplete_gamma(1.0 - power, z)
-    g2 = lower_incomplete_gamma(2.0 - power, z)
-    return complete_gamma(power + 1.0) * lam ** (power - 1.0) / a * ((z + 1.0) * g1 - g2)
+    return erlang_moment(params, 1, power)
 
 
 def tau_sample(params: MinUExpParams, rng: np.random.Generator, size=None):
@@ -129,19 +120,12 @@ def xi_given_tau_pdf(params: MinUExpParams, t: float, x):
     c = lam + t
     e = math.exp(-a * c)
     denom = a * lam * c + (t - lam) * (1.0 - e) - a * t * c * e
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     inside = (arr > 0.0) & (arr < a)
     xs = np.where(inside, arr, 0.5 * a)
     body = xs * c**3 * np.exp(-c * xs) * (1.0 + lam * a - lam * xs) / denom
     out = np.where(inside, body, 0.0)
-    return float(out) if scalar else out
-
-
-def mean_tau_given_xi(x: float) -> float:
-    """Regression of the waiting time on the rate: E(tau | xi = x) = 1/x."""
-    if not x > 0.0:
-        raise ValueError("conditioning value x must be positive")
-    return 1.0 / x
+    return _finish(arr, out)
 
 
 def mean_xi_given_tau(params: MinUExpParams, t):
@@ -150,12 +134,12 @@ def mean_xi_given_tau(params: MinUExpParams, t):
     Computed as the ratio of tilted moments E(xi^2 e^(-t xi)) / E(xi e^(-t xi)),
     which the quadrature oracle confirms; always lies in (0, a).
     """
-    arr, scalar = _as_array(t)
+    arr = np.asarray(t, dtype=float)
     if np.any(~(arr > 0.0)):
         raise ValueError("conditioning time t must be positive")
     out = np.exp(log_mixing_kernel(params, 2, params.lam + arr)
                  - log_mixing_kernel(params, 1, params.lam + arr))
-    return float(out) if scalar else out
+    return _finish(arr, out)
 
 
 def multivariate_pdf_II(params: MinUExpParams, t) -> float:
@@ -191,7 +175,7 @@ def erlang_pdf(params: MinUExpParams, n: int, t):
     if n < 1 or int(n) != n:
         raise ValueError("event index n must be a positive integer")
     n = int(n)
-    arr, scalar = _as_array(t)
+    arr = np.asarray(t, dtype=float)
     pos = arr > 0.0
     ti = np.where(pos, arr, 1.0)
     log_body = (
@@ -200,26 +184,25 @@ def erlang_pdf(params: MinUExpParams, n: int, t):
         + log_mixing_kernel(params, n, params.lam + ti)
     )
     out = np.where(pos, np.exp(log_body), 0.0)
-    return float(out) if scalar else out
+    return _finish(arr, out)
 
 
 def erlang_moment(params: MinUExpParams, n: int, power: float) -> float:
     """E(T_n^p) of the n-th arrival epoch, finite exactly for p in (-n, 1):
 
-    Gamma(p+n)/(n-1)! lambda^p ((1 + p/(a lambda)) gamma(1-p, lambda a)
-                                + e^(-lambda a) / (a lambda)^p)
+    Gamma(p+n)/Gamma(n) J(-p, lambda),
 
-    Returns math.inf outside that range.
+    since T_n = G/xi with G ~ Gamma(n, 1) independent of xi.  The gamma
+    ratio and the kernel are combined in log space, so large n stays
+    finite.  Returns math.inf outside that range.
     """
     if n < 1 or int(n) != n:
         raise ValueError("event index n must be a positive integer")
     if not -float(n) < power < 1.0:
         return math.inf
-    a, lam = params.a, params.lam
-    z = a * lam
-    g = lower_incomplete_gamma(1.0 - power, z)
-    bracket = (1.0 + power / z) * g + math.exp(-z) / z**power
-    return complete_gamma(power + n) / complete_gamma(n) * lam**power * bracket
+    log_ratio = math.lgamma(power + n) - math.lgamma(n)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_ratio + log_mixing_kernel(params, -power, params.lam)))
 
 
 def interarrival_vector_sample(params: MinUExpParams, k: int, rng: np.random.Generator, size=None):

@@ -7,7 +7,8 @@ This is the mixing variable of the whole package.  Its c.d.f. is
     F(x) = 1                                   x > a
 
 Evaluators accept scalars or numpy arrays in the variate argument and are
-pure; sampling mutates only the generator passed in.
+pure; a NaN argument gives NaN.  Sampling mutates only the generator
+passed in.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gamma_kernel import lower_incomplete_gamma
+from ._mixture import mixing_kernel
 
 __all__ = [
     "MinUExpParams",
@@ -50,31 +51,32 @@ class MinUExpParams:
             raise ValueError("parameter lambda must be a finite positive real")
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _finish(arg: np.ndarray, out: np.ndarray):
+    """Pointwise result: NaN wherever the argument was NaN, a float for 0-d."""
+    out = np.where(np.isnan(arg), np.nan, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def cdf(params: MinUExpParams, x):
     """Distribution function; total on the reals, right-continuous."""
     a, lam = params.a, params.lam
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     inside = (arr > 0.0) & (arr <= a)
     xi = np.where(inside, arr, 0.5 * a)
     body = 1.0 - np.exp(-lam * xi) + (xi / a) * np.exp(-lam * xi)
     out = np.where(arr <= 0.0, 0.0, np.where(arr > a, 1.0, body))
-    return float(out) if scalar else out
+    return _finish(arr, out)
 
 
 def pdf(params: MinUExpParams, x):
     """Density (e^(-lambda x)/a)(lambda a + 1 - lambda x) on (0, a), else 0."""
     a, lam = params.a, params.lam
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     inside = (arr > 0.0) & (arr < a)
     xi = np.where(inside, arr, 0.5 * a)
     body = np.exp(-lam * xi) / a * (lam * a + 1.0 - xi * lam)
     out = np.where(inside, body, 0.0)
-    return float(out) if scalar else out
+    return _finish(arr, out)
 
 
 def hazard(params: MinUExpParams, x):
@@ -84,13 +86,13 @@ def hazard(params: MinUExpParams, x):
     explicit infinity so plots can carry the right endpoint.
     """
     a, lam = params.a, params.lam
-    arr, scalar = _as_array(x)
+    arr = np.asarray(x, dtype=float)
     inside = (arr > 0.0) & (arr < a)
     xi = np.where(inside, arr, 0.5 * a)
     body = lam + 1.0 / (a - xi)
     out = np.where(inside, body, 0.0)
     out = np.where(arr == a, np.inf, out)
-    return float(out) if scalar else out
+    return _finish(arr, out)
 
 
 def scale(params: MinUExpParams, k: float) -> MinUExpParams:
@@ -101,18 +103,14 @@ def scale(params: MinUExpParams, k: float) -> MinUExpParams:
 
 
 def raw_moment(params: MinUExpParams, k: int) -> float:
-    """k-th raw moment E(xi^k) for integer k >= 1.
+    """k-th raw moment E(xi^k) = J(k, lambda) for integer k >= 1.
 
-    E(xi^k) = (k / lambda^k) (gamma(k, a lambda) - gamma(k+1, a lambda)/(a lambda))
+    J is the mixing kernel, evaluated in log space: the result stays
+    accurate where the moment is a small double and is inf past overflow.
     """
     if k < 1 or int(k) != k:
         raise ValueError("moment order k must be a positive integer")
-    k = int(k)
-    a, lam = params.a, params.lam
-    z = a * lam
-    gk = lower_incomplete_gamma(k, z)
-    gk1 = lower_incomplete_gamma(k + 1, z)
-    return k / lam**k * (gk - gk1 / z)
+    return float(mixing_kernel(params, int(k), params.lam))
 
 
 def variance(params: MinUExpParams) -> float:
@@ -126,12 +124,12 @@ def variance(params: MinUExpParams) -> float:
 def lst(params: MinUExpParams, t):
     """Laplace-Stieltjes transform E e^(-t xi) for t >= 0."""
     a, lam = params.a, params.lam
-    arr, scalar = _as_array(t)
+    arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValueError("transform argument t must be nonnegative")
     c = lam + arr
     out = lam / c + arr / (a * c**2) * (-np.expm1(-c * a))
-    return float(out) if scalar else out
+    return _finish(arr, out)
 
 
 def sample(params: MinUExpParams, rng: np.random.Generator, size=None):

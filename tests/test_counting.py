@@ -314,6 +314,17 @@ class TestMeanXiGivenCount:
             assert all(0.0 < v < p.a for v in values)
             assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_vector_counts_match_scalar_calls(self):
+        ns = np.array([0, 1, 7, 60, 180])
+        for p in (P11, P110):
+            values = mean_xi_given_count(p, 2.5, ns)
+            assert isinstance(values, np.ndarray) and values.shape == ns.shape
+            assert values.tolist() == [mean_xi_given_count(p, 2.5, int(n)) for n in ns]
+        assert isinstance(mean_xi_given_count(P11, 2.5, 3), float)
+        for bad in ([0, -1], [0.5], np.zeros((2, 2), dtype=int)):
+            with pytest.raises(ValueError):
+                mean_xi_given_count(P11, 2.5, bad)
+
 
 class TestConditionalBinomial:
     def test_examples(self):

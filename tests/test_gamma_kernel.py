@@ -7,14 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from minuexp.gamma_kernel import (
-    complete_gamma,
-    factorial,
-    log_gamma,
-    log_lower_incomplete_gamma,
-    lower_incomplete_gamma,
-    upper_incomplete_gamma,
-)
+from minuexp.gamma_kernel import log_lower_incomplete_gamma, lower_incomplete_gamma
 
 S_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
 X_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0]
@@ -38,27 +31,13 @@ def test_lower_gamma_2_2_against_quadrature_oracle():
     assert lower_incomplete_gamma(2.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0) * 3.0, rel=1e-14)
 
 
-def test_upper_gamma_shape_one_closed_form():
-    for x in (0.0, 0.3, 1.0, 4.0, 50.0):
-        assert upper_incomplete_gamma(1.0, x) == pytest.approx(math.exp(-x), rel=1e-14)
-
-
-def test_upper_gamma_at_zero_is_complete_gamma():
-    for s in S_GRID:
-        assert upper_incomplete_gamma(s, 0.0) == pytest.approx(complete_gamma(s), rel=1e-14)
-
-
-def test_upper_gamma_3_2_complement_example():
-    # gamma(3,2) = 2 - e^-2 (x^2 + 2x + 2) at x = 2
-    gamma_3_2 = 2.0 - math.exp(-2.0) * 10.0
-    assert upper_incomplete_gamma(3.0, 2.0) == pytest.approx(2.0 - gamma_3_2, rel=1e-13)
-
-
 def test_complement_identity_on_grid():
+    # gamma(s, x) + Gamma(s, x) = Gamma(s), with the upper function from mpmath
+    mpmath.mp.dps = 40
     for s in S_GRID:
         for x in X_GRID:
-            total = lower_incomplete_gamma(s, x) + upper_incomplete_gamma(s, x)
-            assert total == pytest.approx(complete_gamma(s), rel=1e-12)
+            total = lower_incomplete_gamma(s, x) + float(mpmath.gammainc(s, x, mpmath.inf))
+            assert total == pytest.approx(math.gamma(s), rel=1e-12)
 
 
 def test_recurrence_identity_on_grid():
@@ -95,8 +74,6 @@ def test_domain_errors():
         lower_incomplete_gamma(-1.0, 1.0)
     with pytest.raises(ValueError):
         lower_incomplete_gamma(1.0, -0.1)
-    with pytest.raises(ValueError):
-        upper_incomplete_gamma(-2.0, 1.0)
 
 
 def test_log_variant_matches_direct_in_ordinary_range():
@@ -124,10 +101,3 @@ def test_log_variant_vectorized_mixed_regimes():
     mpmath.mp.dps = 60
     assert out[1] == pytest.approx(float(mpmath.log(mpmath.gammainc(400.0, 0, 2.0))), rel=1e-12)
 
-
-def test_factorial_and_log_gamma():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    with pytest.raises(ValueError):
-        factorial(-1)
-    assert log_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)

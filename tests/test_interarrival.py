@@ -13,7 +13,6 @@ from minuexp import (
     interarrival_vector_sample,
     lst,
     make_stream,
-    mean_tau_given_xi,
     mean_xi_given_tau,
     multivariate_pdf_II,
     pdf,
@@ -180,13 +179,6 @@ class TestXiGivenTau:
 
 
 class TestRegressions:
-    def test_mean_tau_given_xi(self):
-        assert mean_tau_given_xi(0.5) == 2.0
-        assert mean_tau_given_xi(1.0) == 1.0
-        assert mean_tau_given_xi(4.0) == 0.25
-        with pytest.raises(ValueError):
-            mean_tau_given_xi(0.0)
-
     def test_mean_xi_given_tau_oracle(self):
         assert mean_xi_given_tau(P11, 1.0) == pytest.approx(FROZEN_XI_MEAN_GIVEN_TAU1, rel=1e-12)
         for p in PARAM_GRID:

@@ -5,6 +5,8 @@ integrands at large n defeat generic quadrature.  Instead the two-gamma
 closed form is evaluated in 80-digit arithmetic with ascending-series
 lower gammas, which stays exact through the cancellation regime where the
 kernel's two bracket terms nearly cancel (term ratio ~ lambda (n+1) / c).
+The moments that route through the kernel are checked the same way,
+against their own incomplete-gamma closed forms.
 """
 
 import math
@@ -13,10 +15,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from minuexp import MinUExpParams, count_pmf
+import minuexp.gamma_kernel
+from minuexp import (
+    MinUExpParams,
+    count_pmf,
+    counting,
+    erlang_moment,
+    factorial_moment,
+    interarrival,
+    raw_moment,
+    structure,
+)
 from minuexp._mixture import log_mixing_kernel, mixing_kernel
 
-from conftest import P11, P110
+from conftest import P11, P110, PARAM_GRID
 
 
 def _gamma_series(s, x):
@@ -36,13 +48,32 @@ def _gamma_ref(s, x):
     return _gamma_series(s, x) if x < s else mpmath.gammainc(mpmath.mpf(s), 0, mpmath.mpf(x))
 
 
-def _log_kernel_reference(a, lam, n, c):
-    am, lm, cm = map(mpmath.mpf, (a, lam, c))
+def _log_kernel_reference(a, lam, s, c):
+    # real order s > -1
+    am, lm, cm, sm = map(mpmath.mpf, (a, lam, c, s))
     value = (1 / am) * (
-        (1 + lm * am) * _gamma_ref(n + 1, am * cm) / cm ** (n + 1)
-        - lm * _gamma_ref(n + 2, am * cm) / cm ** (n + 2)
+        (1 + lm * am) * _gamma_ref(sm + 1, am * cm) / cm ** (sm + 1)
+        - lm * _gamma_ref(sm + 2, am * cm) / cm ** (sm + 2)
     )
     return float(mpmath.log(value))
+
+
+def _raw_moment_reference(a, lam, k):
+    # E(xi^k) = (k / lambda^k) (gamma(k, a lambda) - gamma(k+1, a lambda)/(a lambda))
+    lm, z = mpmath.mpf(lam), mpmath.mpf(a) * mpmath.mpf(lam)
+    return k / lm**k * (_gamma_ref(k, z) - _gamma_ref(k + 1, z) / z)
+
+
+def _erlang_moment_reference(a, lam, n, p):
+    # E(T_n^p) = Gamma(p+n)/(n-1)! lambda^p ((1 + p/z) gamma(1-p, z) + e^(-z)/z^p), z = a lambda
+    lm, pm = mpmath.mpf(lam), mpmath.mpf(p)
+    z = mpmath.mpf(a) * lm
+    bracket = (1 + pm / z) * _gamma_ref(1 - pm, z) + mpmath.e**-z / z**pm
+    return mpmath.gamma(pm + n) / mpmath.factorial(n - 1) * lm**pm * bracket
+
+
+def _is_normal_double(value):
+    return mpmath.mpf(2.2250738585072014e-308) <= value <= mpmath.mpf(1.7976931348623157e308)
 
 
 EXTREME_CASES = [
@@ -80,12 +111,25 @@ def test_kernel_broadcasts_and_matches_scalars():
 
 
 def test_kernel_validation():
-    with pytest.raises(ValueError):
-        log_mixing_kernel(P11, -1, 1.0)
-    with pytest.raises(ValueError):
-        log_mixing_kernel(P11, 1.5, 1.0)
+    for order in (-1, -1.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            log_mixing_kernel(P11, order, 1.0)
     with pytest.raises(ValueError):
         log_mixing_kernel(P11, 1, 0.0)
+    # the order may be any real above -1
+    mpmath.mp.dps = 40
+    for order in (1.5, -0.5):
+        for c in (1.0, 2.5):
+            ref = _log_kernel_reference(1.0, 1.0, order, c)
+            assert log_mixing_kernel(P11, order, c) == pytest.approx(ref, abs=1e-12)
+
+
+def test_incomplete_gamma_lives_only_in_the_kernel():
+    gk = minuexp.gamma_kernel
+    bound = {id(gk)} | {id(getattr(gk, name)) for name in gk.__all__}
+    for module in (structure, counting, interarrival):
+        names = [name for name, value in vars(module).items() if id(value) in bound]
+        assert names == [], module.__name__
 
 
 def test_zero_coefficient_edge():
@@ -106,3 +150,35 @@ def test_large_count_pmf_at_figure_parameters():
             _log_kernel_reference(110.0, 0.04, n, 1.04) - float(mpmath.log(mpmath.factorial(n)))
         )
         assert float(count_pmf(P110, n)) == pytest.approx(ref, rel=1e-8)
+
+
+MOMENT_ORDERS = (1, 2, 5, 20, 60, 100, 130, 145, 160, 171, 200, 250)
+
+
+def test_raw_and_factorial_moments_at_high_orders():
+    # the direct gamma(k, .) Gamma(k) product underflowed to 0 or gave NaN here
+    mpmath.mp.dps = 80
+    for p in PARAM_GRID + [P110]:
+        for k in MOMENT_ORDERS:
+            ref = _raw_moment_reference(p.a, p.lam, k)
+            if _is_normal_double(ref):
+                assert raw_moment(p, k) == pytest.approx(float(ref), rel=1e-10), (p, k)
+            fact_ref = mpmath.mpf(0.8) ** k * ref
+            if _is_normal_double(fact_ref):
+                assert factorial_moment(p, 0.8, k) == pytest.approx(float(fact_ref), rel=1e-10), (p, k)
+
+
+def test_raw_moment_overflows_to_inf():
+    mpmath.mp.dps = 80
+    assert not _is_normal_double(_raw_moment_reference(110.0, 0.04, 250))
+    assert raw_moment(P110, 250) == math.inf
+
+
+@pytest.mark.parametrize("n", [172, 200, 1000])
+def test_erlang_moment_at_large_event_index(n):
+    mpmath.mp.dps = 80
+    for p in (P11, MinUExpParams(0.5, 4.0), P110):
+        for power in (-20.0, -0.5, 0.5):
+            got = erlang_moment(p, n, power)
+            assert math.isfinite(got)
+            assert got == pytest.approx(float(_erlang_moment_reference(p.a, p.lam, n, power)), rel=1e-10)

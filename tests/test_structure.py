@@ -11,6 +11,7 @@ from scipy import integrate
 from minuexp import (
     MinUExpParams,
     cdf,
+    erlang_pdf,
     hazard,
     lst,
     make_stream,
@@ -19,6 +20,7 @@ from minuexp import (
     sample,
     scale,
     tau_cdf,
+    tau_pdf,
     variance,
 )
 from minuexp.oracle import ks_statistic, mc_mean, mix_integral
@@ -246,3 +248,24 @@ class TestSampler:
         a = sample(P11, make_stream(99), size=1000)
         b = sample(P11, make_stream(99), size=1000)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        cdf,
+        pdf,
+        hazard,
+        tau_cdf,
+        tau_pdf,
+        lambda p, x: erlang_pdf(p, 3, x),
+    ],
+    ids=["cdf", "pdf", "hazard", "tau_cdf", "tau_pdf", "erlang_pdf"],
+)
+def test_nan_in_gives_nan_out(evaluator):
+    # these evaluators used to return 0 (or a body value for cdf) at NaN
+    assert math.isnan(evaluator(P11, math.nan))
+    out = evaluator(P11, np.array([math.nan, 0.5, 2.0, math.nan]))
+    assert np.array_equal(np.isnan(out), [True, False, False, True])
+    assert out[1] == evaluator(P11, 0.5)
+    assert out[2] == evaluator(P11, 2.0)
