@@ -119,23 +119,27 @@ def _xy_table(xs, values, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# --fn names of the evaluators that take only the grid.  Each looks its
+# function up when called, so a patched or wrapped module function is the
+# one that runs.
+_GRID_FNS = {
+    "cdf": lambda params, xs: structure.cdf(params, xs),
+    "pdf": lambda params, xs: structure.pdf(params, xs),
+    "hazard": lambda params, xs: structure.hazard(params, xs),
+    "lst": lambda params, xs: structure.lst(params, xs),
+    "tau-pdf": lambda params, xs: interarrival.tau_pdf(params, xs),
+}
+
+
 def _cmd_eval(args) -> int:
     params = MinUExpParams(args.a, args.lam)
     fn = args.fn
-    if fn in ("cdf", "pdf", "hazard", "lst", "tau-pdf", "erlang-pdf"):
+    if fn in _GRID_FNS or fn == "erlang-pdf":
         if args.grid is None:
             raise ValueError(f"--fn {fn} requires --grid")
         xs = _parse_grid(args.grid)
-        if fn == "cdf":
-            values = structure.cdf(params, xs)
-        elif fn == "pdf":
-            values = structure.pdf(params, xs)
-        elif fn == "hazard":
-            values = structure.hazard(params, xs)
-        elif fn == "lst":
-            values = structure.lst(params, xs)
-        elif fn == "tau-pdf":
-            values = interarrival.tau_pdf(params, xs)
+        if fn in _GRID_FNS:
+            values = _GRID_FNS[fn](params, xs)
         else:
             if args.erlang_n is None:
                 raise ValueError("--fn erlang-pdf requires --erlang-n")
@@ -314,10 +318,7 @@ def build_parser():
     p_eval.add_argument(
         "--fn",
         required=True,
-        choices=[
-            "cdf", "pdf", "hazard", "lst", "tau-pdf", "erlang-pdf",
-            "count-pmf", "pgf", "posterior-mean",
-        ],
+        choices=[*_GRID_FNS, "erlang-pdf", "count-pmf", "pgf", "posterior-mean"],
     )
     p_eval.add_argument("--grid", default=None, help="start:stop:step or a single value")
     p_eval.add_argument("--n", default=None, help="count index or range lo..hi")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ._mixture import log_mixing_kernel
-from .structure import MinUExpParams, lst, variance
+from .structure import MinUExpParams, _finish, _integer, lst, variance
 
 __all__ = [
     "count_pmf",
@@ -52,12 +52,6 @@ def _count_indices(n, name: str) -> tuple[np.ndarray, bool]:
     if np.any(counts < 0):
         raise ValueError(f"{name} must be nonnegative")
     return counts, n_arr.ndim == 0
-
-
-def _nonnegative_int(n, name: str) -> int:
-    if n < 0 or int(n) != n:
-        raise ValueError(f"{name} must be a nonnegative integer")
-    return int(n)
 
 
 def _check_mu_t(mu_t: float) -> None:
@@ -129,9 +123,7 @@ def factorial_moment(params: MinUExpParams, mu_t: float, k: int) -> float:
     The power of mu is added to log J, so the result is inf past overflow.
     """
     _check_mu_t(mu_t)
-    if k < 1 or int(k) != k:
-        raise ValueError("factorial-moment order k must be a positive integer")
-    k = int(k)
+    k = _integer(k, "factorial-moment order k must be a positive integer")
     with np.errstate(over="ignore"):
         return float(np.exp(k * math.log(mu_t) + log_mixing_kernel(params, k, params.lam)))
 
@@ -195,9 +187,10 @@ def xi_given_count_pdf(params: MinUExpParams, mu_t: float, n: int, x):
     x^n e^(-x(lambda+mu)) (lambda a + 1 - lambda x) / (a J)
 
     where a J is the normalizing mixture integral at (n, lambda+mu).
+    A NaN x gives NaN.
     """
     _check_mu_t(mu_t)
-    n = _nonnegative_int(n, "count n")
+    n = _integer(n, "count n must be a nonnegative integer", 0)
     a, lam = params.a, params.lam
     c = lam + mu_t
     log_norm = math.log(a) + log_mixing_kernel(params, n, c)
@@ -209,7 +202,7 @@ def xi_given_count_pdf(params: MinUExpParams, mu_t: float, n: int, x):
     log_num = -xs * c + np.log(lam * a + 1.0 - lam * xs)
     if n > 0:
         log_num = log_num + n * np.log(xs)
-    out = np.where(inside, np.exp(log_num - log_norm), 0.0)
+    out = _finish(arr, np.where(inside, np.exp(log_num - log_norm), 0.0))
     return float(out[0]) if scalar else out
 
 
@@ -233,10 +226,10 @@ def mean_xi_given_count(params: MinUExpParams, mu_t: float, n):
 def conditional_binomial_pmf(n: int, ratio: float, j: int) -> float:
     """Binomial p.m.f. Bi(n, ratio) at j: the law of an earlier count given
     a later count n, with ratio the accumulated-intensity quotient."""
-    n = _nonnegative_int(n, "total count n")
-    if j < 0 or int(j) != j or j > n:
+    n = _integer(n, "total count n must be a nonnegative integer", 0)
+    j = _integer(j, "count j must be an integer with 0 <= j <= n", 0)
+    if j > n:
         raise ValueError("count j must be an integer with 0 <= j <= n")
     if not 0.0 < ratio < 1.0:
         raise ValueError("intensity ratio must lie strictly inside (0, 1)")
-    j = int(j)
     return math.comb(n, j) * ratio**j * (1.0 - ratio) ** (n - j)

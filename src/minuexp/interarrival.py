@@ -16,7 +16,7 @@ import numpy as np
 
 from . import structure
 from ._mixture import log_mixing_kernel, mixing_kernel
-from .structure import MinUExpParams, _finish
+from .structure import MinUExpParams, _finish, _integer
 
 __all__ = [
     "tau_cdf",
@@ -91,7 +91,7 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     (1/a) x e^(-(lambda+t)x) (1 + lambda a - lambda x),  t > 0, x in (0, a)
 
     i.e. the conditional Exp(x) density of tau times the mixing density.
-    Broadcasts t against x.
+    Broadcasts t against x; NaN wherever either argument is NaN.
     """
     a, lam = params.a, params.lam
     t_arr = np.asarray(t, dtype=float)
@@ -102,7 +102,7 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     ts = np.where(inside, t_b, 1.0)
     xs = np.where(inside, x_b, 0.5 * a)
     body = xs / a * np.exp(-(lam + ts) * xs) * (1.0 + lam * a - xs * lam)
-    out = np.where(inside, body, 0.0)
+    out = np.where(np.isnan(t_b) | np.isnan(x_b), np.nan, np.where(inside, body, 0.0))
     return float(out) if scalar else out
 
 
@@ -172,9 +172,7 @@ def erlang_pdf(params: MinUExpParams, n: int, t):
     single inter-arrival density and the quadrature oracle require.
     Evaluated in log space so large n does not overflow.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("event index n must be a positive integer")
-    n = int(n)
+    n = _integer(n, "event index n must be a positive integer")
     arr = np.asarray(t, dtype=float)
     pos = arr > 0.0
     ti = np.where(pos, arr, 1.0)
@@ -196,8 +194,7 @@ def erlang_moment(params: MinUExpParams, n: int, power: float) -> float:
     ratio and the kernel are combined in log space, so large n stays
     finite.  Returns math.inf outside that range.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("event index n must be a positive integer")
+    n = _integer(n, "event index n must be a positive integer")
     if not -float(n) < power < 1.0:
         return math.inf
     log_ratio = math.lgamma(power + n) - math.lgamma(n)
@@ -211,9 +208,7 @@ def interarrival_vector_sample(params: MinUExpParams, k: int, rng: np.random.Gen
     Returns shape (k,) for size=None, else (size, k).  The shared mixing
     draw makes the components exchangeable and positively dependent.
     """
-    if k < 1 or int(k) != k:
-        raise ValueError("vector length k must be a positive integer")
-    k = int(k)
+    k = _integer(k, "vector length k must be a positive integer")
     if size is None:
         xi = structure.sample(params, rng)
         return rng.exponential(size=k) / xi

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import structure
-from .structure import MinUExpParams
+from .structure import MinUExpParams, _integer
 
 __all__ = [
     "MuTransform",
@@ -177,9 +177,7 @@ def simulate_paths(
     """
     from .rng import substream
 
-    if paths < 1:
-        raise ValueError("number of paths must be a positive integer")
-    for i in range(int(paths)):
+    for i in range(_integer(paths, "number of paths must be a positive integer")):
         yield simulate(params, mu, horizon, substream(master_seed, i))
 
 
@@ -187,10 +185,9 @@ def simulate_first_arrivals(
     params: MinUExpParams, mu: MuTransform, k: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Exact times of the first k events, with no horizon truncation."""
-    if k < 1 or int(k) != k:
-        raise ValueError("number of arrivals k must be a positive integer")
+    k = _integer(k, "number of arrivals k must be a positive integer")
     xi = structure.sample(params, rng)
-    s = np.cumsum(rng.exponential(size=int(k)))
+    s = np.cumsum(rng.exponential(size=k))
     return np.asarray(mu.inverse(s / xi), dtype=float)
 
 
@@ -202,12 +199,10 @@ def sample_arrival_times(
     Block-vectorized over paths on the single stream supplied; one xi and
     one exponential block are drawn per path row.
     """
-    if k < 1 or int(k) != k:
-        raise ValueError("number of arrivals k must be a positive integer")
-    if paths < 1:
-        raise ValueError("number of paths must be a positive integer")
-    xi = structure.sample(params, rng, size=int(paths))
-    s = np.cumsum(rng.exponential(size=(int(paths), int(k))), axis=1)
+    k = _integer(k, "number of arrivals k must be a positive integer")
+    paths = _integer(paths, "number of paths must be a positive integer")
+    xi = structure.sample(params, rng, size=paths)
+    s = np.cumsum(rng.exponential(size=(paths, k)), axis=1)
     return np.asarray(mu.inverse(s / xi[:, None]), dtype=float)
 
 
@@ -230,10 +225,9 @@ def sample_grid_counts(
         raise ValueError("times must be a nonempty one-dimensional vector")
     if np.any(t_arr <= 0.0) or np.any(np.diff(t_arr) <= 0.0):
         raise ValueError("times must be positive and strictly increasing")
-    if paths < 1:
-        raise ValueError("number of paths must be a positive integer")
+    paths = _integer(paths, "number of paths must be a positive integer")
     widths = np.diff(np.asarray(mu(t_arr), dtype=float), prepend=0.0)
-    xi = structure.sample(params, rng, size=int(paths))
+    xi = structure.sample(params, rng, size=paths)
     return np.cumsum(rng.poisson(xi[:, None] * widths), axis=1)
 
 
@@ -292,12 +286,10 @@ def thinning_check(
     """
     if not 0.0 < s < t:
         raise ValueError("conditioning times must satisfy 0 < s < t")
-    if n < 1 or int(n) != n:
-        raise ValueError("conditioning count n must be a positive integer")
+    n = _integer(n, "conditioning count n must be a positive integer")
     from .counting import conditional_binomial_pmf
     from .oracle import chi_square_pmf
 
-    n = int(n)
     counts = sample_grid_counts(params, mu, [s, t], paths, rng)
     mask = counts[:, 1] == n
     n_cond = int(np.sum(mask))

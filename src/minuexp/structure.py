@@ -51,6 +51,13 @@ class MinUExpParams:
             raise ValueError("parameter lambda must be a finite positive real")
 
 
+def _integer(value, message: str, lowest: int = 1) -> int:
+    """value as an int no less than lowest; ValueError(message) for fractions, NaN and inf."""
+    if not (lowest <= value < math.inf and int(value) == value):
+        raise ValueError(message)
+    return int(value)
+
+
 def _finish(arg: np.ndarray, out: np.ndarray):
     """Pointwise result: NaN wherever the argument was NaN, a float for 0-d."""
     out = np.where(np.isnan(arg), np.nan, out)
@@ -108,9 +115,8 @@ def raw_moment(params: MinUExpParams, k: int) -> float:
     J is the mixing kernel, evaluated in log space: the result stays
     accurate where the moment is a small double and is inf past overflow.
     """
-    if k < 1 or int(k) != k:
-        raise ValueError("moment order k must be a positive integer")
-    return float(mixing_kernel(params, int(k), params.lam))
+    k = _integer(k, "moment order k must be a positive integer")
+    return float(mixing_kernel(params, k, params.lam))
 
 
 def variance(params: MinUExpParams) -> float:

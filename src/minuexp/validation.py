@@ -6,10 +6,21 @@ from already-validated pieces).  Rows tagged ``expect=deviate`` hold
 rejected algebraic variants of five expressions whose naive transcription
 fails the oracle; they are retained so the report demonstrates both that
 the implemented forms match and that the variants do not.
+
+The report is one table.  ``_pair_entries`` yields the entries
+``(name, value, reference, tol)`` of one parameter pair in report order,
+``_adjudication_entries`` adds each variant row's ``expect``, and ``_row``
+builds the ``CheckRow``.  A reference integral is named by a kernel
+factory and its arguments; ``_integrals`` computes each name once per pair.
+Kernels keep each row's integrand expression (``x**2`` and ``x * x``
+differ in the last bit on some doubles), so no reference moves.  Three
+rows integrate ``bivariate_pdf``, ``xi_given_tau_pdf`` and
+``xi_given_count_pdf`` themselves, since those rows check the evaluators.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,9 +48,11 @@ class CheckRow:
     passed: bool
 
 
-def _rel_err(value: float, reference: float) -> float:
-    scale = max(abs(reference), 1e-300)
-    return abs(value - reference) / scale
+def _row(name: str, value, reference, tol: float, expect: str = "match", relative: bool = True) -> CheckRow:
+    """The comparison of value with reference; rel_err is an absolute gap when relative is False."""
+    value, reference = float(value), float(reference)
+    err = abs(value - reference) / (max(abs(reference), 1e-300) if relative else 1.0)
+    return CheckRow(name, value, reference, err, tol, expect, err <= tol if expect == "match" else err > tol)
 
 
 def _central_difference(f, k: int, h: float) -> float:
@@ -61,16 +74,6 @@ def pgf_series_coefficient(params: MinUExpParams, mu_t: float, k: int, h: float 
     r1 = (4.0 * d2 - d1) / 3.0
     r2 = (4.0 * d3 - d2) / 3.0
     return (16.0 * r2 - r1) / 15.0 / math.factorial(k)
-
-
-def _match(name: str, value: float, reference: float, tol: float) -> CheckRow:
-    err = float(_rel_err(value, reference))
-    return CheckRow(name, float(value), float(reference), err, tol, "match", bool(err <= tol))
-
-
-def _deviate(name: str, value: float, reference: float, tol: float) -> CheckRow:
-    err = float(_rel_err(value, reference))
-    return CheckRow(name, float(value), float(reference), err, tol, "deviate", bool(err > tol))
 
 
 # ----------------------------------------------------------------------
@@ -168,103 +171,84 @@ def _tau_posterior_mean_sign_variant(params: MinUExpParams, t: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Report assembly.  An integral that several rows need is computed once
-# per parameter pair, and only where the integrand expression is the same,
-# so every row's reference is the value its own integrand would give.
+# Reference integrals.  A kernel factory and its arguments name an
+# integrand; the report integrates each name once per parameter pair.
 # ----------------------------------------------------------------------
 
 
-def _structure_rows(
-    rows: list[CheckRow], params: MinUExpParams, tag: str
-) -> tuple[dict[int, float], float, float]:
-    """Append the structure rows; return the integrals of x**k (k = 1, 2), x
-    and x * x against the density, which the count rows reuse."""
-    rows.append(
-        _match(f"{tag} density normalization", mix_integral(params, lambda x: 1.0).value, 1.0, 1e-10)
-    )
-    raw = {k: mix_integral(params, lambda x, k=k: x**k).value for k in (1, 2)}
-    for k, ref in raw.items():
-        rows.append(_match(f"{tag} raw moment k={k}", structure.raw_moment(params, k), ref, 1e-10))
-    m1 = mix_integral(params, lambda x: x).value
-    m2 = mix_integral(params, lambda x: x * x).value
-    rows.append(_match(f"{tag} variance", structure.variance(params), m2 - m1**2, 1e-10))
+def _power_exp(k, t):
+    """x**k e^(-t x).  A zero k or t contributes an exact factor 1.0, so the
+    normalization, plain moments and transforms are members too."""
+    return lambda x: x**k * math.exp(-t * x)
+
+
+def _square_exp(t):
+    """x * x e^(-t x), apart from x**2: the two differ in the last bit on some doubles."""
+    return lambda x: x * x * math.exp(-t * x)
+
+
+def _epoch(n, t):
+    """The Erlang(n, x) density at t: the arrival-epoch kernel."""
+    return lambda x: x**n * t ** (n - 1) * math.exp(-x * t) / math.factorial(n - 1)
+
+
+def _count(n):
+    """The Poisson(x) p.m.f. at n: the count kernel."""
+    return lambda x: x**n * math.exp(-x) / math.factorial(n)
+
+
+def _integrals(params: MinUExpParams):
+    """integral(kernel, *args): mix_integral of kernel(*args) at params, once per distinct name."""
+    return functools.cache(lambda kernel, *args: mix_integral(params, kernel(*args)).value)
+
+
+def _quad(f, a: float) -> float:
+    """Quadrature of a vectorized evaluator over (0, a), driven to 1e-12 relative."""
+    return integrate.quad(f, 0.0, a, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def _pair_entries(params: MinUExpParams, t_grid, n_erlang: int, n_count: int):
+    """(name, value, reference, tol) of each row at one parameter pair, in report order.
+
+    The p.g.f. rows add ("match", False): they compare in absolute terms.
+    """
+    tag = f"(a={params.a:g}, lambda={params.lam:g})"
+    ref = _integrals(params)
+    m1, m2 = ref(_power_exp, 1, 0), ref(_square_exp, 0)
+    yield f"{tag} density normalization", ref(_power_exp, 0, 0), 1.0, 1e-10
+    for k in (1, 2):
+        yield f"{tag} raw moment k={k}", structure.raw_moment(params, k), ref(_power_exp, k, 0), 1e-10
+    yield f"{tag} variance", structure.variance(params), m2 - m1**2, 1e-10
     for t in (0.5, 2.0):
-        ref = mix_integral(params, lambda x, t=t: math.exp(-t * x)).value
-        rows.append(_match(f"{tag} transform t={t}", structure.lst(params, t), ref, 1e-10))
-        rows.append(
-            _match(f"{tag} waiting-time cdf t={t}", interarrival.tau_cdf(params, t), 1.0 - ref, 1e-10)
-        )
-    return raw, m1, m2
+        yield f"{tag} transform t={t}", structure.lst(params, t), ref(_power_exp, 0, t), 1e-10
+        yield f"{tag} waiting-time cdf t={t}", interarrival.tau_cdf(params, t), 1.0 - ref(_power_exp, 0, t), 1e-10
 
-
-def _interarrival_rows(
-    rows: list[CheckRow], params: MinUExpParams, tag: str, t_grid, n_erlang: int
-) -> None:
-    tau_pdf_ref = {t: mix_integral(params, lambda x, t=t: x * math.exp(-t * x)).value for t in t_grid}
-    for t, ref in tau_pdf_ref.items():
-        rows.append(_match(f"{tag} waiting-time pdf t={t}", interarrival.tau_pdf(params, t), ref, 1e-8))
-    inverse_moment = {p: mix_integral(params, lambda x, p=p: x**-p).value for p in (-0.5, 0.5)}
-    for p, integral in inverse_moment.items():
-        ref = math.gamma(p + 1.0) * integral
-        rows.append(_match(f"{tag} waiting-time moment p={p}", interarrival.tau_moment(params, p), ref, 1e-8))
-    # bivariate density marginalizes to the waiting-time density
+    for t in t_grid:
+        yield f"{tag} waiting-time pdf t={t}", interarrival.tau_pdf(params, t), ref(_power_exp, 1, t), 1e-8
+    for p in (-0.5, 0.5):
+        moment = math.gamma(p + 1.0) * ref(_power_exp, -p, 0)
+        yield f"{tag} waiting-time moment p={p}", interarrival.tau_moment(params, p), moment, 1e-8
     t = t_grid[0]
-    marginal = integrate.quad(
-        lambda x: interarrival.bivariate_pdf(params, t, x), 0.0, params.a,
-        epsabs=0.0, epsrel=1e-12, limit=200,
-    )[0]
-    rows.append(
-        _match(f"{tag} joint density marginal t={t}", marginal, interarrival.tau_pdf(params, t), 1e-8)
-    )
-    post_norm = integrate.quad(
-        lambda x: interarrival.xi_given_tau_pdf(params, t, x), 0.0, params.a,
-        epsabs=0.0, epsrel=1e-12, limit=200,
-    )[0]
-    rows.append(_match(f"{tag} rate-posterior normalization t={t}", post_norm, 1.0, 1e-8))
-    num = mix_integral(params, lambda x, t=t: x * x * math.exp(-t * x)).value
-    den = tau_pdf_ref[t]
-    rows.append(
-        _match(f"{tag} rate-posterior mean t={t}", interarrival.mean_xi_given_tau(params, t), num / den, 1e-8)
-    )
+    marginal = _quad(lambda x: interarrival.bivariate_pdf(params, t, x), params.a)
+    yield f"{tag} joint density marginal t={t}", marginal, interarrival.tau_pdf(params, t), 1e-8
+    posterior = _quad(lambda x: interarrival.xi_given_tau_pdf(params, t, x), params.a)
+    yield f"{tag} rate-posterior normalization t={t}", posterior, 1.0, 1e-8
+    mean = ref(_square_exp, t) / ref(_power_exp, 1, t)
+    yield f"{tag} rate-posterior mean t={t}", interarrival.mean_xi_given_tau(params, t), mean, 1e-8
     for k in (1, 2, 3):
-        tv = [0.4] * k
-        s = 0.4 * k
-        ref = mix_integral(params, lambda x, k=k, s=s: x**k * math.exp(-s * x)).value
-        rows.append(
-            _match(f"{tag} joint inter-arrival density k={k}", interarrival.multivariate_pdf_II(params, tv), ref, 1e-8)
-        )
+        density = interarrival.multivariate_pdf_II(params, [0.4] * k)
+        yield f"{tag} joint inter-arrival density k={k}", density, ref(_power_exp, k, 0.4 * k), 1e-8
     for n in range(1, n_erlang + 1):
         for t in (t_grid[0], t_grid[-1]):
-            ref = mix_integral(
-                params,
-                lambda x, n=n, t=t: x**n * t ** (n - 1) * math.exp(-x * t) / math.factorial(n - 1),
-            ).value
-            rows.append(
-                _match(f"{tag} arrival-epoch pdf n={n} t={t}", interarrival.erlang_pdf(params, n, t), ref, 1e-8)
-            )
+            density = interarrival.erlang_pdf(params, n, t)
+            yield f"{tag} arrival-epoch pdf n={n} t={t}", density, ref(_epoch, n, t), 1e-8
     for n in (1, 2):
-        for p, integral in inverse_moment.items():
-            ref = math.gamma(p + n) / math.gamma(n) * integral
-            rows.append(
-                _match(f"{tag} arrival-epoch moment n={n} p={p}", interarrival.erlang_moment(params, n, p), ref, 1e-8)
-            )
+        for p in (-0.5, 0.5):
+            moment = math.gamma(p + n) / math.gamma(n) * ref(_power_exp, -p, 0)
+            yield f"{tag} arrival-epoch moment n={n} p={p}", interarrival.erlang_moment(params, n, p), moment, 1e-8
 
-
-def _counting_rows(
-    rows: list[CheckRow],
-    params: MinUExpParams,
-    tag: str,
-    n_max: int,
-    raw: dict[int, float],
-    m1: float,
-    m2: float,
-) -> None:
-    """Append the count rows; raw, m1 and m2 are _structure_rows' integrals."""
-    for n in range(0, n_max + 1):
-        ref = mix_integral(
-            params, lambda x, n=n: x**n * math.exp(-x) / math.factorial(n)
-        ).value
-        rows.append(_match(f"{tag} count pmf n={n}", counting.count_pmf(params, n), ref, 1e-8))
+    for n in range(n_count + 1):
+        yield f"{tag} count pmf n={n}", counting.count_pmf(params, n), ref(_count, n), 1e-8
     # adaptive truncation of the total mass
     total, n = 0.0, 0
     while True:
@@ -273,121 +257,63 @@ def _counting_rows(
         if (p_n < 1e-16 and total > 0.5) or n > 10_000:
             break
         n += 1
-    rows.append(_match(f"{tag} count pmf normalization", total, 1.0, 1e-10))
+    yield f"{tag} count pmf normalization", total, 1.0, 1e-10
     mean, var = counting.count_mean_var(params, 1.0)
-    rows.append(_match(f"{tag} count mean", mean, m1, 1e-10))
-    rows.append(_match(f"{tag} count variance", var, m1 + m2 - m1**2, 1e-10))
+    yield f"{tag} count mean", mean, m1, 1e-10
+    yield f"{tag} count variance", var, m1 + m2 - m1**2, 1e-10
     for k in (1, 2, 3):
-        ref = 0.8**k * (raw[k] if k in raw else mix_integral(params, lambda x, k=k: x**k).value)
-        rows.append(
-            _match(f"{tag} factorial moment k={k}", counting.factorial_moment(params, 0.8, k), ref, 1e-8)
-        )
-    grid, kvec = [0.5, 1.2], [1, 3]
-    product = 0.5**1 * 0.7**2 / (math.factorial(1) * math.factorial(2))
-    bracket = mix_integral(params, lambda x: x**3 * math.exp(-1.2 * x)).value
-    rows.append(
-        _match(f"{tag} cumulative joint pmf", counting.ordered_pmf(params, grid, kvec), product * bracket, 1e-8)
-    )
-    rows.append(
-        _match(f"{tag} increment joint pmf", counting.increments_pmf(params, grid, [1, 2]), product * bracket, 1e-8)
-    )
-    mu_t, n = 0.7, 2
-    norm = integrate.quad(
-        lambda x: counting.xi_given_count_pdf(params, mu_t, n, x), 0.0, params.a,
-        epsabs=0.0, epsrel=1e-12, limit=200,
-    )[0]
-    rows.append(_match(f"{tag} count-posterior normalization", norm, 1.0, 1e-8))
-    num = mix_integral(params, lambda x: x ** (n + 1) * math.exp(-mu_t * x)).value
-    den = mix_integral(params, lambda x: x**n * math.exp(-mu_t * x)).value
-    rows.append(
-        _match(f"{tag} count-posterior mean", counting.mean_xi_given_count(params, mu_t, n), num / den, 1e-8)
-    )
-    # p.g.f. derivatives at 0 recover the pmf (absolute 1e-6 comparison)
+        moment = 0.8**k * ref(_power_exp, k, 0)
+        yield f"{tag} factorial moment k={k}", counting.factorial_moment(params, 0.8, k), moment, 1e-8
+    # Poisson increments over (0, 0.5] and (0.5, 1.2] times the mixing bracket
+    joint = 0.5**1 * 0.7**2 / (math.factorial(1) * math.factorial(2)) * ref(_power_exp, 3, 1.2)
+    yield f"{tag} cumulative joint pmf", counting.ordered_pmf(params, [0.5, 1.2], [1, 3]), joint, 1e-8
+    yield f"{tag} increment joint pmf", counting.increments_pmf(params, [0.5, 1.2], [1, 2]), joint, 1e-8
+    norm = _quad(lambda x: counting.xi_given_count_pdf(params, 0.7, 2, x), params.a)
+    yield f"{tag} count-posterior normalization", norm, 1.0, 1e-8
+    mean = ref(_power_exp, 3, 0.7) / ref(_power_exp, 2, 0.7)
+    yield f"{tag} count-posterior mean", counting.mean_xi_given_count(params, 0.7, 2), mean, 1e-8
+    # p.g.f. derivatives at 0 recover the pmf
     for k in range(5):
-        deriv = float(pgf_series_coefficient(params, 1.0, k))
-        pmf_k = float(counting.count_pmf(params, k))
-        gap = abs(deriv - pmf_k)
-        rows.append(
-            CheckRow(
-                f"{tag} pgf series coefficient k={k}",
-                deriv, pmf_k, gap, 1e-6, "match", bool(gap <= 1e-6),
-            )
-        )
+        coefficient = pgf_series_coefficient(params, 1.0, k)
+        yield f"{tag} pgf series coefficient k={k}", coefficient, counting.count_pmf(params, k), 1e-6, "match", False
 
 
-def _adjudication_rows(rows: list[CheckRow]) -> None:
-    p11 = MinUExpParams(1.0, 1.0)
-    p21 = MinUExpParams(2.0, 1.0)
-
-    # integral of x e^(-x) at (1, 1): three rows below use it
-    x_exp = mix_integral(p11, lambda x: x * math.exp(-x)).value
-    rows.append(
-        _match("arrival-epoch pdf corrected form n=1", interarrival.erlang_pdf(p11, 1, 1.0), x_exp, 1e-8)
-    )
-    rows.append(
-        _deviate("arrival-epoch pdf low-power variant n=1", _erlang_pdf_low_power_variant(p11, 1, 1.0), x_exp, 1e-2)
-    )
-
-    grid, kvec = [1.0], [2]
-    bracket = mix_integral(p21, lambda x: x**2 * math.exp(-x)).value
-    product = 1.0 / math.factorial(2)
-    rows.append(
-        _match("cumulative joint pmf corrected form a=2", counting.ordered_pmf(p21, grid, kvec), product * bracket, 1e-8)
-    )
-    rows.append(
-        _deviate(
+def _adjudication_entries() -> list[tuple]:
+    """(name, value, reference, tol, expect): each corrected form beside its rejected variant."""
+    p11, p21 = MinUExpParams(1.0, 1.0), MinUExpParams(2.0, 1.0)
+    ref11, ref21 = _integrals(p11), _integrals(p21)
+    epoch = ref11(_power_exp, 1, 1.0)
+    ordered = 1.0 / math.factorial(2) * ref21(_power_exp, 2, 1.0)
+    increments = 0.5**2 * 0.5**1 / (math.factorial(2) * math.factorial(1)) * ref21(_power_exp, 3, 1.0)
+    count_mean = ref11(_power_exp, 1, 1.0) / ref11(_power_exp, 0, 1.0)
+    tau_mean = ref11(_square_exp, 1.0) / ref11(_power_exp, 1, 1.0)
+    return [
+        ("arrival-epoch pdf corrected form n=1", interarrival.erlang_pdf(p11, 1, 1.0), epoch, 1e-8, "match"),
+        ("arrival-epoch pdf low-power variant n=1", _erlang_pdf_low_power_variant(p11, 1, 1.0), epoch, 1e-2, "deviate"),
+        ("cumulative joint pmf corrected form a=2", counting.ordered_pmf(p21, [1.0], [2]), ordered, 1e-8, "match"),
+        (
             "cumulative joint pmf unit-tail variant a=2",
-            _ordered_pmf_unit_tail_variant(p21, grid, kvec),
-            product * bracket,
-            1e-2,
-        )
-    )
-
-    mgrid, mvec = [0.5, 1.0], [2, 1]
-    m_bracket = mix_integral(p21, lambda x: x**3 * math.exp(-x)).value
-    m_product = 0.5**2 * 0.5**1 / (math.factorial(2) * math.factorial(1))
-    rows.append(
-        _match(
+            _ordered_pmf_unit_tail_variant(p21, [1.0], [2]), ordered, 1e-2, "deviate",
+        ),
+        (
             "increment joint pmf corrected form a=2",
-            counting.increments_pmf(p21, mgrid, mvec),
-            m_product * m_bracket,
-            1e-8,
-        )
-    )
-    rows.append(
-        _deviate(
+            counting.increments_pmf(p21, [0.5, 1.0], [2, 1]), increments, 1e-8, "match",
+        ),
+        (
             "increment joint pmf misplaced-exponent variant a=2",
-            _increments_pmf_misplaced_exponent_variant(p21, mgrid, mvec),
-            m_product * m_bracket,
-            1e-2,
-        )
-    )
-
-    den = mix_integral(p11, lambda x: math.exp(-x)).value
-    rows.append(
-        _match("count-posterior mean corrected form n=0", counting.mean_xi_given_count(p11, 1.0, 0), x_exp / den, 1e-8)
-    )
-    rows.append(
-        _deviate(
+            _increments_pmf_misplaced_exponent_variant(p21, [0.5, 1.0], [2, 1]), increments, 1e-2, "deviate",
+        ),
+        (
+            "count-posterior mean corrected form n=0",
+            counting.mean_xi_given_count(p11, 1.0, 0), count_mean, 1e-8, "match",
+        ),
+        (
             "count-posterior mean quadratic-coefficient variant n=0",
-            _posterior_mean_quadratic_coefficient_variant(p11, 1.0, 0),
-            x_exp / den,
-            1e-2,
-        )
-    )
-
-    tnum = mix_integral(p11, lambda x: x * x * math.exp(-x)).value
-    rows.append(
-        _match("rate-posterior mean corrected form t=1", interarrival.mean_xi_given_tau(p11, 1.0), tnum / x_exp, 1e-8)
-    )
-    rows.append(
-        _deviate(
-            "rate-posterior mean sign variant t=1",
-            _tau_posterior_mean_sign_variant(p11, 1.0),
-            tnum / x_exp,
-            1e-2,
-        )
-    )
+            _posterior_mean_quadratic_coefficient_variant(p11, 1.0, 0), count_mean, 1e-2, "deviate",
+        ),
+        ("rate-posterior mean corrected form t=1", interarrival.mean_xi_given_tau(p11, 1.0), tau_mean, 1e-8, "match"),
+        ("rate-posterior mean sign variant t=1", _tau_posterior_mean_sign_variant(p11, 1.0), tau_mean, 1e-2, "deviate"),
+    ]
 
 
 def run_validation(quick: bool = False) -> list[CheckRow]:
@@ -401,12 +327,5 @@ def run_validation(quick: bool = False) -> list[CheckRow]:
             MinUExpParams(a, lam) for a in (0.5, 1.0, 2.0, 5.0) for lam in (0.25, 1.0, 4.0)
         ] + [MinUExpParams(110.0, 0.04)]
         n_count, n_erlang, t_grid = 30, 5, (0.1, 0.5, 1.0, 2.0, 5.0)
-
-    rows: list[CheckRow] = []
-    for params in param_grid:
-        tag = f"(a={params.a:g}, lambda={params.lam:g})"
-        raw, m1, m2 = _structure_rows(rows, params, tag)
-        _interarrival_rows(rows, params, tag, t_grid, n_erlang)
-        _counting_rows(rows, params, tag, n_count, raw, m1, m2)
-    _adjudication_rows(rows)
-    return rows
+    entries = [e for params in param_grid for e in _pair_entries(params, t_grid, n_erlang, n_count)]
+    return [_row(*entry) for entry in entries + _adjudication_entries()]

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import minuexp as mx
 from minuexp import (
     MinUExpParams,
+    bivariate_pdf,
     cdf,
     erlang_pdf,
     hazard,
@@ -22,6 +24,8 @@ from minuexp import (
     tau_cdf,
     tau_pdf,
     variance,
+    xi_given_count_pdf,
+    xi_given_tau_pdf,
 )
 from minuexp.oracle import ks_statistic, mc_mean, mix_integral
 
@@ -259,8 +263,15 @@ class TestSampler:
         tau_cdf,
         tau_pdf,
         lambda p, x: erlang_pdf(p, 3, x),
+        lambda p, x: xi_given_tau_pdf(p, 1.0, x),
+        lambda p, x: xi_given_count_pdf(p, 1.0, 2, x),
+        lambda p, x: bivariate_pdf(p, x, 0.5),
+        lambda p, x: bivariate_pdf(p, 1.0, x),
     ],
-    ids=["cdf", "pdf", "hazard", "tau_cdf", "tau_pdf", "erlang_pdf"],
+    ids=[
+        "cdf", "pdf", "hazard", "tau_cdf", "tau_pdf", "erlang_pdf", "xi_given_tau_pdf",
+        "xi_given_count_pdf", "bivariate_pdf_t", "bivariate_pdf_x",
+    ],
 )
 def test_nan_in_gives_nan_out(evaluator):
     # these evaluators used to return 0 (or a body value for cdf) at NaN
@@ -269,3 +280,39 @@ def test_nan_in_gives_nan_out(evaluator):
     assert np.array_equal(np.isnan(out), [True, False, False, True])
     assert out[1] == evaluator(P11, 0.5)
     assert out[2] == evaluator(P11, 2.0)
+
+
+_MU = mx.LinearMu(1.0)
+
+# every integer argument goes through structure._integer: (call, lowest value)
+_INTEGER_ARGUMENTS = {
+    "raw_moment k": (lambda v: mx.raw_moment(P11, v), 1),
+    "factorial_moment k": (lambda v: mx.factorial_moment(P11, 0.8, v), 1),
+    "erlang_pdf n": (lambda v: mx.erlang_pdf(P11, v, 1.0), 1),
+    "erlang_moment n": (lambda v: mx.erlang_moment(P11, v, 0.5), 1),
+    "interarrival_vector_sample k": (lambda v: mx.interarrival_vector_sample(P11, v, make_stream(0)), 1),
+    "simulate_first_arrivals k": (lambda v: mx.simulate_first_arrivals(P11, _MU, v, make_stream(0)), 1),
+    "sample_arrival_times k": (lambda v: mx.sample_arrival_times(P11, _MU, v, 3, make_stream(0)), 1),
+    "sample_arrival_times paths": (lambda v: mx.sample_arrival_times(P11, _MU, 2, v, make_stream(0)), 1),
+    "simulate_paths paths": (lambda v: list(mx.simulate_paths(P11, _MU, 1.0, v, 0)), 1),
+    "sample_grid_counts paths": (lambda v: mx.sample_grid_counts(P11, _MU, [1.0], v, make_stream(0)), 1),
+    "thinning_check n": (lambda v: mx.thinning_check(P11, _MU, 0.5, 1.0, v, 10, make_stream(0)), 1),
+    "xi_given_count_pdf n": (lambda v: mx.xi_given_count_pdf(P11, 1.0, v, 0.5), 0),
+    "conditional_binomial_pmf n": (lambda v: mx.conditional_binomial_pmf(v, 0.5, 0), 0),
+    "conditional_binomial_pmf j": (lambda v: mx.conditional_binomial_pmf(3, 0.5, v), 0),
+}
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        (name, value)
+        for name, (_, lowest) in _INTEGER_ARGUMENTS.items()
+        for value in (1.5, math.inf, math.nan) + ((0,) if lowest == 1 else ())
+    ],
+)
+def test_integer_arguments_reject_fractions_nan_inf_and_too_small(name, value):
+    # inf used to raise OverflowError, and a fractional path count was truncated
+    call, _ = _INTEGER_ARGUMENTS[name]
+    with pytest.raises(ValueError, match="integer"):
+        call(value)

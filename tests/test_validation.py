@@ -34,10 +34,10 @@ def test_adjudication_rows_demonstrate_deviation():
     assert all(r.passed and r.rel_err <= 1e-8 for r in corrected)
 
 
-@pytest.mark.parametrize("quick, calls", [(True, 69), (False, 824)])
+@pytest.mark.parametrize("quick, calls", [(True, 67), (False, 811)])
 def test_each_shared_integral_is_computed_once(monkeypatch, quick, calls):
-    # repeated integrands (x, x * x, x**k, x**-p, x e^(-t x)) are shared
-    # between rows instead of being integrated again
+    # each integrand (x**k e^(-t x), x * x e^(-t x), the epoch and count
+    # kernels) is integrated once per parameter pair and shared between rows
     count = 0
     inner = minuexp.validation.mix_integral
 
@@ -50,3 +50,10 @@ def test_each_shared_integral_is_computed_once(monkeypatch, quick, calls):
     rows = run_validation(quick=quick)
     assert count == calls
     assert all(r.passed for r in rows)
+
+
+@pytest.mark.parametrize("quick, size", [(True, 110), (False, 1063)])
+def test_report_size_and_unique_names(quick, size):
+    names = [r.name for r in run_validation(quick=quick)]
+    assert len(names) == size
+    assert len(set(names)) == size
