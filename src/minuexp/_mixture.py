@@ -38,38 +38,47 @@ __all__ = ["log_mixing_kernel", "mixing_kernel"]
 def log_mixing_kernel(params: MinUExpParams, s, c):
     """log J(s, c) for real order s > -1 and c > 0; broadcasts s against c."""
     a, lam = params.a, params.lam
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s_arr) & (s_arr > -1.0)):
+    s = np.asarray(s, dtype=float)
+    if not ((s > -1.0) & (s < np.inf)).all():
         raise ValueError("order s must be a finite real greater than -1")
-    c_arr = np.asarray(c, dtype=float)
-    if np.any(~(c_arr > 0.0)) or np.any(~np.isfinite(c_arr)):
+    c = np.asarray(c, dtype=float)
+    if not ((c > 0.0) & (c < np.inf)).all():
         raise ValueError("tilt argument c must be positive and finite")
 
-    scalar = s_arr.ndim == 0 and c_arr.ndim == 0
-    s_b, c_b = np.broadcast_arrays(np.atleast_1d(s_arr), np.atleast_1d(c_arr))
-    s_b, c_b = np.ascontiguousarray(s_b), np.ascontiguousarray(c_b)
-
-    q = lam * a * c_b + c_b - lam * (s_b + 1.0)
+    log_c = np.log(c)
+    q = lam * a * c + c - lam * (s + 1.0)
     with np.errstate(divide="ignore"):
-        log_abs_q = np.where(q != 0.0, np.log(np.abs(np.where(q != 0.0, q, 1.0))), -np.inf)
+        log_abs_q = np.log(np.abs(q))
     log_abs_t1 = (
-        log_lower_incomplete_gamma(s_b + 1.0, a * c_b)
+        log_lower_incomplete_gamma(s + 1.0, a * c)
         + log_abs_q
         - np.log(a)
-        - (s_b + 2.0) * np.log(c_b)
+        - (s + 2.0) * log_c
     )
-    log_t2 = np.log(lam) + s_b * np.log(a) - a * c_b - np.log(c_b)
+    log_t2 = np.log(lam) + s * np.log(a) - a * c - log_c
 
-    out = np.empty(s_b.shape)
     pos = q >= 0.0
-    out[pos] = np.logaddexp(log_abs_t1[pos], log_t2[pos])
-    neg = ~pos
-    if np.any(neg):
-        # total = t2 - |t1| is positive because the underlying integrand is
-        diff = -np.expm1(log_abs_t1[neg] - log_t2[neg])
-        with np.errstate(divide="ignore"):
-            out[neg] = log_t2[neg] + np.log(np.maximum(diff, 0.0))
-    return float(out[0]) if scalar else out.reshape(np.broadcast_shapes(s_arr.shape, c_arr.shape))
+    if pos.all():
+        out = np.logaddexp(log_abs_t1, log_t2)
+    elif not pos.any():
+        out = _log_t2_minus_t1(log_abs_t1, log_t2)
+    else:
+        out = np.empty(q.shape)
+        out[pos] = np.logaddexp(log_abs_t1[pos], log_t2[pos])
+        neg = ~pos
+        out[neg] = _log_t2_minus_t1(log_abs_t1[neg], log_t2[neg])
+    return out if out.ndim else float(out)
+
+
+def _log_t2_minus_t1(log_abs_t1, log_t2):
+    """log(t2 - |t1|) where q < 0; positive because the underlying integrand is.
+
+    Only these elements may reach expm1: where q >= 0, |t1| can exceed t2
+    by far and the exponential overflows.
+    """
+    diff = -np.expm1(log_abs_t1 - log_t2)
+    with np.errstate(divide="ignore"):
+        return log_t2 + np.log(np.maximum(diff, 0.0))
 
 
 def mixing_kernel(params: MinUExpParams, s, c):

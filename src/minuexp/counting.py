@@ -39,8 +39,9 @@ def _validate_counts(values, name: str) -> np.ndarray:
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty one-dimensional vector")
     if not np.issubdtype(arr.dtype, np.integer):
-        if np.any(arr != np.floor(arr)):
-            raise ValueError(f"{name} must contain integers")
+        # inf equals its floor, and int64 casts it, or any value past 2**63, to -2**63
+        if not ((arr == np.floor(arr)) & (np.abs(arr) < 2.0**63)).all():
+            raise ValueError(f"{name} must contain finite integers below 2**63 in magnitude")
         arr = arr.astype(np.int64)
     return arr
 
@@ -49,7 +50,7 @@ def _count_indices(n, name: str) -> tuple[np.ndarray, bool]:
     """n as a nonempty vector of nonnegative integers, and whether it was a scalar."""
     n_arr = np.asarray(n)
     counts = _validate_counts(np.atleast_1d(n_arr), name)
-    if np.any(counts < 0):
+    if (counts < 0).any():
         raise ValueError(f"{name} must be nonnegative")
     return counts, n_arr.ndim == 0
 

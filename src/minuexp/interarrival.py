@@ -45,7 +45,8 @@ def tau_cdf(params: MinUExpParams, t):
     pos = arr > 0.0
     ti = np.where(pos, arr, 1.0)
     c = lam + ti
-    body = ti / c - ti / (a * c**2) * (-np.expm1(-a * c))
+    # c * c, not c**2, as in structure.lst
+    body = ti / c - ti / (a * (c * c)) * (-np.expm1(-a * c))
     out = np.where(pos, body, 0.0)
     return _finish(arr, out)
 
@@ -62,7 +63,9 @@ def tau_pdf(params: MinUExpParams, t):
     ti = np.where(pos, arr, 1.0)
     c = lam + ti
     e = np.exp(-a * c)
-    body = lam / c**2 + (ti - lam) / (a * c**3) * (1.0 - e) - ti / c**2 * e
+    # c * c and the np.power ufunc give a 0-d c the bits an array gets; a
+    # numpy scalar's ** calls libm pow, which can differ in the last bit
+    body = lam / (c * c) + (ti - lam) / (a * np.power(c, 3)) * (1.0 - e) - ti / (c * c) * e
     out = np.where(pos, body, 0.0)
     return _finish(arr, out)
 

@@ -134,7 +134,9 @@ def lst(params: MinUExpParams, t):
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValueError("transform argument t must be nonnegative")
     c = lam + arr
-    out = lam / c + arr / (a * c**2) * (-np.expm1(-c * a))
+    # c * c, not c**2: a numpy scalar's ** calls libm pow, which can differ
+    # in the last bit from the exact square an array gets
+    out = lam / c + arr / (a * (c * c)) * (-np.expm1(-c * a))
     return _finish(arr, out)
 
 

@@ -1,6 +1,7 @@
 """Count laws: p.m.f.s, transforms, posteriors, joint grids, identities."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -260,6 +261,28 @@ class TestCountTransforms:
         assert np.array_equal(ordered_to_increments(increments_to_ordered(m)), m)
         k = np.cumsum(m)
         assert np.array_equal(increments_to_ordered(ordered_to_increments(k)), k)
+
+
+_COUNT_VECTOR_CALLS = {
+    "count_pmf n": lambda v: count_pmf(P11, v),
+    "count_pmf n vector": lambda v: count_pmf(P11, [0, v]),
+    "mean_xi_given_count n": lambda v: mean_xi_given_count(P11, 1.0, v),
+    "ordered_pmf k": lambda v: ordered_pmf(P11, [1.0], [v]),
+    "increments_pmf m": lambda v: increments_pmf(P11, [0.5, 1.0], [1, v]),
+    "ordered_to_increments k": lambda v: ordered_to_increments([0, v]),
+    "increments_to_ordered m": lambda v: increments_to_ordered([1, v]),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, 1e19, math.nan, 1.5])
+@pytest.mark.parametrize("name", list(_COUNT_VECTOR_CALLS))
+def test_count_entries_must_be_finite_integers(name, value):
+    # inf and 1e19 equal their floors and were cast to -2**63, with a
+    # RuntimeWarning: ordered_pmf(P11, [1.0], [inf]) returned 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite integers"):
+            _COUNT_VECTOR_CALLS[name](value)
 
 
 class TestXiGivenCount:

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from minuexp.gamma_kernel import log_lower_incomplete_gamma, lower_incomplete_gamma
 
@@ -101,3 +101,35 @@ def test_log_variant_vectorized_mixed_regimes():
     mpmath.mp.dps = 60
     assert out[1] == pytest.approx(float(mpmath.log(mpmath.gammainc(400.0, 0, 2.0))), rel=1e-12)
 
+
+def _log_series_reference(s, x):
+    # the scalar ascending-series loop the vectorized series reproduces
+    total = term = 1.0
+    k = 1
+    while True:
+        term *= x / (s + k)
+        total += term
+        if term < 1e-18 * total or k > 10_000:
+            break
+        k += 1
+    return s * np.log(x) - x - np.log(s) + np.log(total)
+
+
+def test_log_variant_series_matches_scalar_loop_exactly():
+    rng = np.random.default_rng(20261018)
+    # far below the shape (a few terms), near the underflow boundary
+    # (hundreds to thousands of terms, several blocks), and past the cap
+    s1 = np.exp(rng.uniform(math.log(200.0), math.log(1e5), 3000))
+    x1 = s1 * rng.uniform(0.0, 0.6, s1.size)
+    s2 = np.exp(rng.uniform(math.log(1e3), math.log(1e7), 600))
+    x2 = s2 - rng.uniform(38.0, 45.0, s2.size) * np.sqrt(s2)
+    s3 = np.array([1e9, 4e9])
+    x3 = s3 - 38.0 * np.sqrt(s3)
+    s, x = np.concatenate([s1, s2, s3]), np.concatenate([x1, x2, x3])
+    series = (special.gammainc(s, x) <= 1e-290) & (x > 0.0)
+    s, x = s[series], x[series]
+    assert s.size > 2000 and series[-2:].all()
+    got = log_lower_incomplete_gamma(s, x)
+    assert got.tolist() == [_log_series_reference(a, b) for a, b in zip(s.tolist(), x.tolist())]
+    for i in range(0, s.size, 97):
+        assert log_lower_incomplete_gamma(float(s[i]), float(x[i])) == got[i]

@@ -10,6 +10,7 @@ against their own incomplete-gamma closed forms.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -101,13 +102,34 @@ def test_log_kernel_tracks_high_precision_reference(a, lam, n, c):
 
 
 def test_kernel_broadcasts_and_matches_scalars():
-    ns = np.array([0, 3, 17])
+    # orders past about 170 at c = 2 take the ascending-series path
+    ns = np.array([0, 3, 17, 150, 400, 1000, 2000])
     cs = np.array([0.5, 2.0, 40.0])
-    grid = log_mixing_kernel(P11, ns[:, None], cs[None, :])
-    assert grid.shape == (3, 3)
-    for i, n in enumerate(ns):
-        for j, c in enumerate(cs):
-            assert grid[i, j] == log_mixing_kernel(P11, int(n), float(c))
+    for p in (P11, P110):
+        grid = log_mixing_kernel(p, ns[:, None], cs[None, :])
+        assert grid.shape == (7, 3)
+        for i, n in enumerate(ns):
+            for j, c in enumerate(cs):
+                assert grid[i, j] == log_mixing_kernel(p, int(n), float(c))
+        # a scalar order against an array of c, as erlang_pdf calls it
+        cs_row = np.geomspace(0.01, 100.0, 60)
+        for n in (1, 20, 2000):
+            row = log_mixing_kernel(p, n, cs_row)
+            assert row.shape == cs_row.shape
+            assert row.tolist() == [log_mixing_kernel(p, n, float(c)) for c in cs_row]
+
+
+def test_kernel_raises_no_warning_where_q_changes_sign():
+    # where q >= 0 and c is large, |t1| / t2 is about e^c: an expm1 taken
+    # over the whole array would overflow there
+    ns = np.arange(301)[:, None]
+    cs = np.geomspace(1.01, 1000.0, 200)[None, :]
+    q = P11.lam * P11.a * cs + cs - P11.lam * (ns + 1.0)
+    assert (q < 0.0).any() and (q > 0.0).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log_mixing_kernel(P11, ns, cs)
+    assert out.shape == q.shape and not np.isnan(out).any()
 
 
 def test_kernel_validation():

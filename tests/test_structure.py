@@ -282,6 +282,20 @@ def test_nan_in_gives_nan_out(evaluator):
     assert out[2] == evaluator(P11, 2.0)
 
 
+@pytest.mark.parametrize("evaluator", [lst, tau_cdf, tau_pdf], ids=["lst", "tau_cdf", "tau_pdf"])
+def test_scalar_calls_equal_array_calls_exactly(evaluator):
+    # a 0-d c**2 went through libm pow: lst(MinUExpParams(0.5, 0.25), 0.366875)
+    # ended in ...274 as a scalar and ...273 inside an array
+    rng = np.random.default_rng(20261018)
+    t = np.concatenate([
+        [0.366875],
+        rng.uniform(0.0, 3.0, 400),
+        np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 400)),
+    ])
+    for p in PARAM_GRID + [P110]:
+        assert [evaluator(p, float(v)) for v in t] == evaluator(p, t).tolist(), p
+
+
 _MU = mx.LinearMu(1.0)
 
 # every integer argument goes through structure._integer: (call, lowest value)
