@@ -34,15 +34,20 @@ def _fmt(x: float) -> str:
 def _parse_grid(spec: str) -> np.ndarray:
     """'start:stop:step' (both ends included when step divides) or one value."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return np.array([float(parts[0])])
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError("grid must look like start:stop:step or be a single value")
-    start, stop, step = (float(p) for p in parts)
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("grid values must be finite")
+    if len(values) == 1:
+        return np.array(values)
+    start, stop, step = values
     if step <= 0.0 or stop < start:
         raise ValueError("grid needs stop >= start and step > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    cells = (stop - start) / step
+    if not math.isfinite(cells):
+        raise ValueError("grid has too many points")
+    return start + step * np.arange(int(math.floor(cells + 1e-9)) + 1)
 
 
 def _parse_count_range(spec: str) -> np.ndarray:

@@ -12,9 +12,8 @@ below 4/3 degenerates to the uniform-only fit (lambda = 0, a = maximum
 observation); a ratio at or above 2 is outside the family and is reported
 as non-convergence with a pure-exponential diagnostic.
 
-Least squares: minimize the squared gap between the empirical distribution
-function at the observations and the closed-form c.d.f., over
-a >= max observation and lambda >= 0, with a derivative-free simplex.
+Least squares: fit the c.d.f. to the empirical one by one bounded search
+over lambda, with 1/a solved in closed form at each step (see fit_lsq).
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ _G_LOWER = 4.0 / 3.0
 _G_UPPER = 2.0
 _SERIES_CUTOFF = 1.0
 _SERIES_TERMS = 42
+_RATE_MAX = 4.0  # fit_lsq's bracket [0, _RATE_MAX] for v = lambda * mean
+_RATE_TOL = 1e-8  # and its absolute tolerance in v
 
 # ascending power-series coefficients of
 #   B(x) = x - 1 + e^(-x)            = sum_{j>=2} (-1)^j x^j / j!
@@ -173,21 +174,13 @@ def fit_mom_from_moments(m1: float, m2: float, x_max: float | None = None) -> Fi
             ),
         )
 
-    lo = 1e-8
-    hi = 1.0
-    for _ in range(200):
-        if ratio_G(hi) > r_hat:
-            break
+    # G rises from 4/3 to 2, so widening each end until it brackets r_hat
+    # ends: G(x) rounds to 4/3 for x near 1e-16 and to 2.0 by x = 2^60
+    lo, hi = 1e-8, 1.0
+    while ratio_G(lo) >= r_hat:
+        lo *= 0.5
+    while ratio_G(hi) <= r_hat:
         hi *= 2.0
-    else:  # unreachable for r_hat < 2; defensive
-        return FitResult(
-            a_hat=math.inf,
-            lambda_hat=1.0 / m1,
-            method="mom",
-            converged=False,
-            r_hat=r_hat,
-            diagnostic="bracket expansion failed",
-        )
     x_star = brentq(lambda x: ratio_G(x) - r_hat, lo, hi, xtol=1e-14, rtol=8.9e-16)
     converged = abs(ratio_G(x_star) - r_hat) <= 1e-10
     lambda_hat = float(_stable_B(np.array([x_star]))[0]) / (x_star * m1)
@@ -234,49 +227,55 @@ def ecdf(values) -> EmpiricalCdf:
 def fit_lsq(values) -> FitResult:
     """Least-squares fit of the c.d.f. against the empirical one.
 
-    Objective: sum over observations of (Fhat(x_i) - F(x_i; a, lambda))^2,
-    with the empirical value taken at the data points, jumps included.
-    Constraints a >= max observation, lambda >= 0; Nelder-Mead simplex
-    started from the method-of-moments fit when it is usable.  The bounds
-    clip every vertex into the constraint set and the sample is positive,
-    so every observation lies in (0, a] and the objective evaluates the
-    c.d.f. body 1 - e^(-lambda x) + (x/a) e^(-lambda x) without masks; it
-    stays continuous at lambda = 0, the pure uniform.  iterations and
-    evaluations report the simplex's iteration and objective-call counts.
+    Minimizes sum_i (Fhat(x_i) - F(x_i))^2, Fhat taken at the observations
+    with its jumps, over a >= max observation and lambda >= 0.  F is linear
+    in theta = 1/a on (0, a], so for each lambda the best theta is a clipped
+    ratio of dot products, and one bounded search over v = lambda * mean in
+    [0, 4] does the rest (variable projection: Golub and Pereyra, SIAM J.
+    Numer. Anal. 10, 1973); the population has v < 1.  Both ends are tried
+    too; the best v wins, the smaller on a tie, so a pure-uniform sample
+    gives lambda = 0 exactly.  diagnostic names each boundary reached:
+    theta = 0 is a_hat = inf, still converged; the upper end of v is not.
     """
-    from scipy.optimize import Bounds, minimize
+    from scipy.optimize import minimize_scalar
 
     arr = _validate_sample(values)
-    x_max = float(np.max(arr))
     m1 = float(np.mean(arr))
-    ecdf_at_obs = EmpiricalCdf(arr)(arr)
+    u = arr / m1  # in units of the mean the fit is exactly scale-equivariant
+    phi_max = 1.0 / float(u[-1])
+    one_minus_ecdf = 1.0 - EmpiricalCdf(arr)(arr)
+    trials = {}  # rate v -> (objective, phi = theta * mean)
 
-    mom = fit_mom(arr)
-    if mom.converged and mom.lambda_hat > 0.0 and math.isfinite(mom.a_hat):
-        start = (max(mom.a_hat, x_max), mom.lambda_hat)
-    else:
-        start = (1.05 * x_max, 1.0 / m1)
+    def objective(v):
+        e = np.exp(-v * u)
+        y = e - one_minus_ecdf
+        z = u * e
+        phi = min(max(float(y @ z) / float(z @ z), 0.0), phi_max)
+        r = y - phi * z
+        trials[float(v)] = (float(r @ r), phi)
+        return trials[float(v)][0]
 
-    def objective(theta):
-        a, lam = theta
-        e = np.exp(-lam * arr)
-        return float(np.sum((ecdf_at_obs - (1.0 - e + arr / a * e)) ** 2))
-
-    result = minimize(
-        objective,
-        x0=np.asarray(start),
-        method="Nelder-Mead",
-        bounds=Bounds(lb=[x_max, 0.0], ub=[np.inf, np.inf]),
-        options={"maxiter": 4000, "maxfev": 8000, "xatol": 1e-10, "fatol": 1e-12},
+    objective(0.0)
+    objective(_RATE_MAX)
+    search = minimize_scalar(
+        objective, bounds=(0.0, _RATE_MAX), method="bounded", options={"xatol": _RATE_TOL}
+    )
+    v = min(trials, key=lambda t: (trials[t][0], t))
+    best, phi = trials[v]
+    boundaries = (
+        (v == 0.0, "lambda = 0: uniform-only fit"),
+        (phi == 0.0, "1/a = 0: pure exponential fit (a -> inf)"),
+        (phi == phi_max, "a at the largest observation"),
+        (v == _RATE_MAX, "rate at the upper end of the search bracket"),
     )
     return FitResult(
-        a_hat=float(result.x[0]),
-        lambda_hat=float(result.x[1]),
+        a_hat=max(m1 / phi, float(arr[-1])) if phi else math.inf,  # rounding: a >= x_max
+        lambda_hat=v / m1,
         method="lsq",
-        converged=bool(result.success),
+        converged=bool(search.success) and v != _RATE_MAX,
         r_hat=float(np.mean(arr**2)) / m1**2,
-        objective=float(result.fun),
-        diagnostic=None if result.success else str(result.message),
-        iterations=int(result.nit),
-        evaluations=int(result.nfev),
+        objective=best,
+        diagnostic="; ".join(text for hit, text in boundaries if hit) or None,
+        iterations=int(search.nit),
+        evaluations=int(search.nfev) + 2,
     )

@@ -11,7 +11,8 @@ underflows (x much smaller than s), which happens in count p.m.f.
 evaluations with large totals.  The series is vectorized: all elements
 that need it are summed together, block by block, each with the terms and
 stopping point of the scalar recurrence.  The direct gamma(s, x) serves
-the validation report's reference rows.
+the validation report's reference rows; past s = 171.6, where Gamma(s)
+overflows, it is the exponential of the log form.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ def lower_incomplete_gamma(s, x):
     Raises ValueError for s <= 0 or x < 0.  Accepts scalars or arrays.
     """
     s, x = _validate_args(s, x)
-    out = sp.gammainc(s, x) * sp.gamma(s)
+    gamma_s = sp.gamma(s)
+    # Gamma(s) overflows past s = 171.6 (inf * 0 is NaN); take the log route
+    # there, where gamma(s, x) overflows only if its true value does
+    overflow = np.isinf(gamma_s)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = sp.gammainc(s, x) * gamma_s
+        if overflow.any():
+            out = np.where(overflow, np.exp(log_lower_incomplete_gamma(s, x)), out)
     return out if out.ndim else float(out)
 
 

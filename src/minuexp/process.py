@@ -206,6 +206,17 @@ def sample_arrival_times(
     return np.asarray(mu.inverse(s / xi[:, None]), dtype=float)
 
 
+def _check_times(times) -> np.ndarray:
+    """A time grid as a float vector: nonempty, positive, strictly increasing."""
+    t_arr = np.asarray(times, dtype=float)
+    if t_arr.ndim != 1 or t_arr.size == 0:
+        raise ValueError("times must be a nonempty one-dimensional vector")
+    # written so that NaN fails too
+    if not (np.all(t_arr > 0.0) and np.all(np.diff(t_arr) > 0.0)):
+        raise ValueError("times must be positive and strictly increasing")
+    return t_arr
+
+
 def sample_grid_counts(
     params: MinUExpParams,
     mu: MuTransform,
@@ -220,11 +231,7 @@ def sample_grid_counts(
     along the grid.  Working memory is a small multiple of the output.
     Output is deterministic for fixed (stream state, paths).
     """
-    t_arr = np.asarray(times, dtype=float)
-    if t_arr.ndim != 1 or t_arr.size == 0:
-        raise ValueError("times must be a nonempty one-dimensional vector")
-    if np.any(t_arr <= 0.0) or np.any(np.diff(t_arr) <= 0.0):
-        raise ValueError("times must be positive and strictly increasing")
+    t_arr = _check_times(times)
     paths = _integer(paths, "number of paths must be a positive integer")
     widths = np.diff(np.asarray(mu(t_arr), dtype=float), prepend=0.0)
     xi = structure.sample(params, rng, size=paths)
@@ -233,11 +240,7 @@ def sample_grid_counts(
 
 def counts_on_grid(traj: Trajectory, times) -> np.ndarray:
     """Counts N(t_j) of one path on an increasing grid within its horizon."""
-    t_arr = np.asarray(times, dtype=float)
-    if t_arr.ndim != 1 or t_arr.size == 0:
-        raise ValueError("times must be a nonempty one-dimensional vector")
-    if np.any(t_arr <= 0.0) or np.any(np.diff(t_arr) <= 0.0):
-        raise ValueError("times must be positive and strictly increasing")
+    t_arr = _check_times(times)
     if t_arr[-1] > traj.horizon:
         raise ValueError("grid extends beyond the trajectory horizon")
     return np.searchsorted(traj.arrivals, t_arr, side="right").astype(np.int64)

@@ -111,6 +111,16 @@ class TestEval:
         assert "positive" in err
 
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0:inf:1", "0:nan:0.1", "0:1e300:1e-10"])
+    def test_non_finite_grid_exit_2(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "eval", "--fn", "cdf", "--a", "1", "--lambda", "1", f"--grid={grid}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid" in err
+
+
 class TestSampleAndFit:
     def test_sample_matches_library_stream(self, capsys, tmp_path):
         out_path = tmp_path / "draws.csv"

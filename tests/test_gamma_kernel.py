@@ -1,6 +1,7 @@
 """Incomplete gamma layer: examples, identities, and extreme-argument paths."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -65,6 +66,17 @@ def test_accuracy_against_mpmath_reference():
         for x in (0.1, 1.0, 10.0, 100.0, 700.0):
             ref = float(mpmath.gammainc(s, 0, x))
             assert lower_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("s, x", [(200.0, 1.0), (172.0, 50.0)])
+def test_orders_past_gamma_overflow(s, x):
+    # Gamma(s) overflows past s = 171.6 while gamma(s, x) stays finite
+    mpmath.mp.dps = 40
+    ref = float(mpmath.gammainc(s, 0, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = lower_incomplete_gamma(s, x)
+    assert value == pytest.approx(ref, rel=1e-12)
 
 
 def test_domain_errors():

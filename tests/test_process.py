@@ -140,6 +140,11 @@ class TestGridCounts:
             counts_on_grid(traj, [1.0, 3.0])
         with pytest.raises(ValueError):
             counts_on_grid(traj, [-1.0, 0.5])
+        for times in ([math.nan], [1.0, math.nan]):
+            with pytest.raises(ValueError, match="positive and strictly increasing"):
+                counts_on_grid(traj, times)
+            with pytest.raises(ValueError, match="positive and strictly increasing"):
+                sample_grid_counts(P11, LinearMu(1.0), times, 10, make_stream(6))
 
     def test_batch_matches_marginal_law(self):
         # marginal at t=0.5 follows the intensity-scaled count parameters
