@@ -14,6 +14,11 @@ as non-convergence with a pure-exponential diagnostic.
 
 Least squares: fit the c.d.f. to the empirical one by one bounded search
 over lambda, with 1/a solved in closed form at each step (see fit_lsq).
+
+Both fits use local solvers and import no scipy: the moment equation is
+solved by bisection down to adjacent doubles, and the least-squares search
+is Brent's bounded minimizer (_bounded_brent).  A `fit` command therefore
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ _SERIES_CUTOFF = 1.0
 _SERIES_TERMS = 42
 _RATE_MAX = 4.0  # fit_lsq's bracket [0, _RATE_MAX] for v = lambda * mean
 _RATE_TOL = 1e-8  # and its absolute tolerance in v
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section fraction, (3 - sqrt 5) / 2
+_SQRT_EPS = math.sqrt(2.2e-16)
+_BRENT_MAXITER = 500
 
 # ascending power-series coefficients of
 #   B(x) = x - 1 + e^(-x)            = sum_{j>=2} (-1)^j x^j / j!
@@ -135,21 +143,21 @@ def fit_mom_from_moments(m1: float, m2: float, x_max: float | None = None) -> Fi
     x_max (the largest observation) is required only when the uniform
     fallback triggers, where it is the natural estimate of a.
     """
-    from scipy.optimize import brentq
-
     if not (math.isfinite(m1) and m1 > 0.0 and math.isfinite(m2) and m2 > 0.0):
         raise ValueError("moments m1 and m2 must be finite and positive")
+    # numpy-float moments would make every field below a numpy scalar, and a
+    # numpy bool is not JSON-serializable
+    m1, m2 = float(m1), float(m2)
+    r_hat = m2 / m1**2
     if m2 - m1**2 <= 0.0:
         return FitResult(
-            a_hat=x_max if x_max is not None else m1,
+            a_hat=float(x_max) if x_max is not None else m1,
             lambda_hat=0.0,
             method="mom",
             converged=False,
-            r_hat=m2 / m1**2,
+            r_hat=r_hat,
             diagnostic="degenerate sample: zero variance, moment ratio out of range",
         )
-    r_hat = m2 / m1**2
-
     if r_hat <= _G_LOWER:
         if x_max is None:
             raise ValueError("uniform fallback needs the maximum observation x_max")
@@ -181,8 +189,26 @@ def fit_mom_from_moments(m1: float, m2: float, x_max: float | None = None) -> Fi
         lo *= 0.5
     while ratio_G(hi) <= r_hat:
         hi *= 2.0
-    x_star = brentq(lambda x: ratio_G(x) - r_hat, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    converged = abs(ratio_G(x_star) - r_hat) <= 1e-10
+    # bisect, keeping G(lo) < r_hat <= G(hi), until no double lies between
+    # the ends
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if ratio_G(mid) < r_hat:
+            lo = mid
+        else:
+            hi = mid
+    # then step from lo to a neighbouring double while that brings G nearer
+    # r_hat, up first (which weighs hi against lo), then down: G's rounding
+    # error spans a few of its ulps, more than G changes from one double to
+    # the next, so the nearest double can lie just outside the bracket
+    x_star, miss = lo, abs(ratio_G(lo) - r_hat)
+    for toward in (math.inf, 0.0):
+        while True:
+            x = math.nextafter(x_star, toward)
+            x_miss = abs(ratio_G(x) - r_hat)
+            if x_miss >= miss:
+                break
+            x_star, miss = x, x_miss
+    converged = miss <= 1e-10
     lambda_hat = float(_stable_B(np.array([x_star]))[0]) / (x_star * m1)
     return FitResult(
         a_hat=x_star / lambda_hat,
@@ -190,7 +216,7 @@ def fit_mom_from_moments(m1: float, m2: float, x_max: float | None = None) -> Fi
         method="mom",
         converged=converged,
         r_hat=r_hat,
-        x_star=float(x_star),
+        x_star=x_star,
     )
 
 
@@ -224,6 +250,76 @@ def ecdf(values) -> EmpiricalCdf:
     return EmpiricalCdf(values)
 
 
+def _bounded_brent(f, lo: float, hi: float, xatol: float) -> tuple[bool, int]:
+    """Minimize f over [lo, hi] by Brent's bounded method.
+
+    Golden-section steps safeguarded by parabolic interpolation (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5), with the
+    steps and arithmetic of scipy.optimize.minimize_scalar(method="bounded"),
+    so the points tried are the same.  It stops once the bracket around the
+    best point is within about xatol, or after _BRENT_MAXITER evaluations.
+    The caller keeps the points and values f sees; this returns (converged,
+    evaluations), converged False at the cap or on a NaN.
+    """
+    a, b = lo, hi
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = fu = f(xf)
+    evaluations = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        fu = f(x)
+        evaluations += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evaluations >= _BRENT_MAXITER:
+            return False, evaluations
+    return not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu)), evaluations
+
+
 def fit_lsq(values) -> FitResult:
     """Least-squares fit of the c.d.f. against the empirical one.
 
@@ -237,29 +333,27 @@ def fit_lsq(values) -> FitResult:
     gives lambda = 0 exactly.  diagnostic names each boundary reached:
     theta = 0 is a_hat = inf, still converged; the upper end of v is not.
     """
-    from scipy.optimize import minimize_scalar
-
     arr = _validate_sample(values)
     m1 = float(np.mean(arr))
     u = arr / m1  # in units of the mean the fit is exactly scale-equivariant
     phi_max = 1.0 / float(u[-1])
     one_minus_ecdf = 1.0 - EmpiricalCdf(arr)(arr)
     trials = {}  # rate v -> (objective, phi = theta * mean)
+    e, y, z = np.empty_like(u), np.empty_like(u), np.empty_like(u)
 
     def objective(v):
-        e = np.exp(-v * u)
-        y = e - one_minus_ecdf
-        z = u * e
+        np.multiply(u, -v, out=e)
+        np.exp(e, out=e)  # e^(-v u)
+        np.subtract(e, one_minus_ecdf, out=y)
+        np.multiply(u, e, out=z)
         phi = min(max(float(y @ z) / float(z @ z), 0.0), phi_max)
-        r = y - phi * z
-        trials[float(v)] = (float(r @ r), phi)
-        return trials[float(v)][0]
+        np.subtract(y, np.multiply(z, phi, out=e), out=e)  # residual y - phi z
+        trials[v] = (float(e @ e), phi)
+        return trials[v][0]
 
     objective(0.0)
     objective(_RATE_MAX)
-    search = minimize_scalar(
-        objective, bounds=(0.0, _RATE_MAX), method="bounded", options={"xatol": _RATE_TOL}
-    )
+    converged, evaluations = _bounded_brent(objective, 0.0, _RATE_MAX, _RATE_TOL)
     v = min(trials, key=lambda t: (trials[t][0], t))
     best, phi = trials[v]
     boundaries = (
@@ -272,10 +366,10 @@ def fit_lsq(values) -> FitResult:
         a_hat=max(m1 / phi, float(arr[-1])) if phi else math.inf,  # rounding: a >= x_max
         lambda_hat=v / m1,
         method="lsq",
-        converged=bool(search.success) and v != _RATE_MAX,
+        converged=converged and v != _RATE_MAX,
         r_hat=float(np.mean(arr**2)) / m1**2,
         objective=best,
         diagnostic="; ".join(text for hit, text in boundaries if hit) or None,
-        iterations=int(search.nit),
-        evaluations=int(search.nfev) + 2,
+        iterations=evaluations,  # one evaluation per step, as scipy counts them
+        evaluations=evaluations + 2,
     )

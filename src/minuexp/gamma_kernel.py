@@ -13,6 +13,12 @@ that need it are summed together, block by block, each with the terms and
 stopping point of the scalar recurrence.  The direct gamma(s, x) serves
 the validation report's reference rows; past s = 171.6, where Gamma(s)
 overflows, it is the exponential of the log form.
+
+scipy.special is imported inside the two functions, not at module level,
+so that `import minuexp` loads no scipy: loading it is more than half the
+wall time of a short CLI command that never evaluates the kernel
+(`eval --fn hazard`, `sample`, `fit`).  A repeat import inside a call is
+a dictionary lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 __all__ = ["lower_incomplete_gamma", "log_lower_incomplete_gamma"]
 
@@ -51,6 +56,8 @@ def lower_incomplete_gamma(s, x):
 
     Raises ValueError for s <= 0 or x < 0.  Accepts scalars or arrays.
     """
+    from scipy import special as sp
+
     s, x = _validate_args(s, x)
     gamma_s = sp.gamma(s)
     # Gamma(s) overflows past s = 171.6 (inf * 0 is NaN); take the log route
@@ -117,6 +124,8 @@ def log_lower_incomplete_gamma(s, x):
     log space, vectorized over the elements that need it.  Returns -inf at
     x = 0.
     """
+    from scipy import special as sp
+
     s, x = _validate_args(s, x)
     reg = sp.gammainc(s, x)
     with np.errstate(divide="ignore"):

@@ -319,19 +319,45 @@ class TestValidate:
 
 _COLD_START = """
 import json, sys
-import minuexp.cli
-lazy = ("scipy.optimize", "scipy.integrate", "scipy.stats")
-at_import = [m for m in lazy if m in sys.modules]
-code = minuexp.cli.main(["fit", "--method", "mom", "--input", sys.argv[1]])
-print(json.dumps({"at_import": at_import, "fit_loaded_optimize": "scipy.optimize" in sys.modules,
-                  "code": code}))
+module, argv = sys.argv[1], sys.argv[2:]
+__import__(module)
+code = sys.modules["minuexp.cli"].main(argv) if argv else 0
+print(json.dumps({"code": code, "scipy": [m for m in sys.modules if m.startswith("scipy")]}))
 """
 
+_PARAMS = ("--a", "1", "--lambda", "1")
 
-def test_cold_start_loads_scipy_submodules_only_where_called(tmp_path):
-    """`import minuexp.cli` loads numpy and scipy.special alone; `fit` loads
-    scipy.optimize when it runs.  A fresh interpreter is needed because this
-    test process has long since imported everything."""
+# (module imported, CLI argv or none, scipy modules required, scipy modules
+# and their submodules forbidden)
+_COLD_START_TABLE = {
+    "import-minuexp": ("minuexp", (), (), ("scipy",)),
+    "import-minuexp.cli": ("minuexp.cli", (), (), ("scipy",)),
+    "eval-hazard": (
+        "minuexp.cli", ("eval", "--fn", "hazard", *_PARAMS, "--grid", "0:1:0.5"), (), ("scipy",),
+    ),
+    "sample": ("minuexp.cli", ("sample", *_PARAMS, "--n-draws", "10"), (), ("scipy",)),
+    "simulate": (
+        "minuexp.cli", ("simulate", *_PARAMS, "--horizon", "2", "--paths", "3"), (), ("scipy",),
+    ),
+    "fit-mom": ("minuexp.cli", ("fit", "--method", "mom", "--input", "draws.csv"), (), ("scipy",)),
+    "fit-lsq": ("minuexp.cli", ("fit", "--method", "lsq", "--input", "draws.csv"), (), ("scipy",)),
+    "eval-count-pmf": (
+        "minuexp.cli",
+        ("eval", "--fn", "count-pmf", *_PARAMS, "--n", "0..3"),
+        ("scipy.special",),
+        ("scipy.optimize",),
+    ),
+    "validate-quick": ("minuexp.cli", ("validate", "--quick"), ("scipy.integrate",), ()),
+}
+
+
+@pytest.mark.parametrize("row", list(_COLD_START_TABLE))
+def test_cold_start_loads_scipy_submodules_only_where_called(row, tmp_path):
+    """Each command loads only the scipy it computes with: importing the
+    package or the CLI loads none, and neither do the commands that need no
+    special function, quadrature or optimizer.  A fresh interpreter per row
+    is needed because this test process has long since imported everything."""
+    module, argv, required, forbidden = _COLD_START_TABLE[row]
     draws = tmp_path / "draws.csv"
     draws.write_text("".join("%.17g\n" % v for v in sample(P11, make_stream(3), size=500)))
     env = dict(os.environ)
@@ -339,11 +365,12 @@ def test_cold_start_loads_scipy_submodules_only_where_called(tmp_path):
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(draws)],
+        [sys.executable, "-c", _COLD_START, module, *argv],
         capture_output=True, cwd=tmp_path, env=env, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["at_import"] == []
-    assert report["fit_loaded_optimize"] is True
     assert report["code"] == 0
+    loaded = set(report["scipy"])
+    assert set(required) <= loaded
+    assert not [m for m in loaded for f in forbidden if m == f or m.startswith(f + ".")]

@@ -1,5 +1,6 @@
 """Estimators: moment system, ratio function, fallbacks, least squares."""
 
+import json
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from minuexp import (
     raw_moment,
     sample,
 )
+from minuexp import estimation
 from minuexp.oracle import mc_mean
 
 from conftest import FROZEN_G_AT_1, FROZEN_MEAN, P11, P110, PARAM_GRID
@@ -137,6 +139,18 @@ class TestFitMom:
         result = fit_mom_from_moments(1.0, r_hat)
         assert result.converged
         assert abs(ratio_G(result.x_star) - r_hat) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "r_hat",
+        [4.0 / 3.0 + 1e-12, 1.5, 2.0 - 1e-9]
+        + [raw_moment(p, 2) / raw_moment(p, 1) ** 2 for p in PARAM_GRID + [P110]],
+    )
+    def test_root_is_best_among_neighbouring_doubles(self, r_hat):
+        # no neighbouring double lies nearer the root in G
+        x = fit_mom_from_moments(1.0, r_hat).x_star
+        miss = abs(ratio_G(x) - r_hat)
+        assert miss <= abs(ratio_G(np.nextafter(x, 0.0)) - r_hat)
+        assert miss <= abs(ratio_G(np.nextafter(x, np.inf)) - r_hat)
 
     def test_out_of_range_ratio_reports_nonconvergence(self):
         result = fit_mom_from_moments(1.0, 2.5)
@@ -263,6 +277,54 @@ class TestFitLsq:
         assert fit.objective <= _nelder_mead_reference(arr).fun * (1.0 + 1e-9)
 
 
+class TestBoundedBrent:
+    """_bounded_brent tries the same points as scipy's bounded minimize_scalar."""
+
+    @staticmethod
+    def assert_matches_scipy(f, lo, hi, xatol):
+        from scipy.optimize import minimize_scalar
+
+        ours, theirs = [], []
+
+        def record(points):
+            def g(v):
+                points.append(float(v))
+                return f(v)
+
+            return g
+
+        converged, evaluations = estimation._bounded_brent(record(ours), lo, hi, xatol)
+        ref = minimize_scalar(
+            record(theirs), bounds=(lo, hi), method="bounded", options={"xatol": xatol}
+        )
+        assert ours == theirs  # bit for bit, point by point
+        assert evaluations == ref.nfev
+        assert converged == ref.success
+        best = min(range(len(ours)), key=lambda i: (f(ours[i]), -i))  # later wins a tie
+        assert (ours[best], f(ours[best])) == (ref.x, ref.fun)
+
+    @pytest.mark.parametrize("params", PARAM_GRID + [P110], ids=str)
+    def test_fit_lsq_objectives(self, params, monkeypatch):
+        searches = []
+        real = estimation._bounded_brent
+
+        def spy(f, lo, hi, xatol):
+            searches.append((f, lo, hi, xatol))
+            return real(f, lo, hi, xatol)
+
+        monkeypatch.setattr(estimation, "_bounded_brent", spy)
+        fit_lsq(sample(params, make_stream(17), size=2_000))
+        (search,) = searches
+        self.assert_matches_scipy(*search)
+
+    def test_quadratic(self):
+        self.assert_matches_scipy(lambda v: (v - 1.234567) ** 2 + 0.5, -3.0, 7.0, 1e-8)
+
+    @pytest.mark.parametrize("slope", [1.0, -1.0])
+    def test_minimum_at_a_bracket_end(self, slope):
+        self.assert_matches_scipy(lambda v: slope * v + 0.1 * v**2, 0.0, 4.0, 1e-8)
+
+
 def _nelder_mead_reference(values):
     """The former fit_lsq: a bounded 2-D Nelder-Mead simplex in (a, lambda).
 
@@ -302,3 +364,12 @@ def test_fit_result_serialization_handles_infinities():
     assert payload["a_hat"] is None  # math.inf is not valid strict JSON
     assert payload["method"] == "mom"
     assert payload["converged"] is False
+
+
+@pytest.mark.parametrize("m2", [1.5, 1.2, 2.5], ids=["interior", "uniform", "ratio-above-2"])
+def test_fit_result_with_numpy_moments_serializes(m2):
+    result = fit_mom_from_moments(np.float64(1.0), np.float64(m2), x_max=np.float64(3.0))
+    payload = json.loads(json.dumps(result.to_dict()))
+    assert type(result.converged) is bool
+    assert type(result.r_hat) is float
+    assert payload["r_hat"] == m2
