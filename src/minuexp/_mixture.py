@@ -19,10 +19,15 @@ The polynomial coefficient can go negative for large s while the total
 stays positive (the integrand is positive), so the two terms are combined
 in log space with sign tracking; a^s, e^(-ac) and c^(s+2) all overflow or
 underflow in direct form once s or ac is large.
+
+The module also holds B(x) = x - 1 + e^(-x) and A(x) = x - 2 + (x + 2) e^(-x)
+without cancellation (_stable_B, _stable_A): the moment ratio of the
+estimators is 2x A(x) / B(x)^2 and the waiting-time c.d.f. is (t/c) B(ac)/(ac).
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,6 +38,22 @@ if TYPE_CHECKING:
     from .structure import MinUExpParams
 
 __all__ = ["log_mixing_kernel", "mixing_kernel"]
+
+_SERIES_CUTOFF = 1.0
+_SERIES_TERMS = 42
+
+# ascending power-series coefficients of
+#   B(x) = x - 1 + e^(-x)            = sum_{j>=2} (-1)^j x^j / j!
+#   A(x) = x - 2 + (x + 2) e^(-x)    = sum_{j>=3} (-1)^j (2 - j) x^j / j!
+_B_COEF = np.array(
+    [(-1.0) ** j / math.factorial(j) if j >= 2 else 0.0 for j in range(_SERIES_TERMS)]
+)
+_A_COEF = np.array(
+    [
+        (-1.0) ** j * (2.0 - j) / math.factorial(j) if j >= 3 else 0.0
+        for j in range(_SERIES_TERMS)
+    ]
+)
 
 
 def log_mixing_kernel(params: MinUExpParams, s, c):
@@ -85,3 +106,28 @@ def mixing_kernel(params: MinUExpParams, s, c):
     """J(s, c) itself, evaluated through the log-space path; inf past overflow."""
     with np.errstate(over="ignore"):
         return np.exp(log_mixing_kernel(params, s, c))
+
+
+def _stable_B(x: np.ndarray) -> np.ndarray:
+    """x - 1 + e^(-x) without cancellation (series below the cutoff)."""
+    small = x < _SERIES_CUTOFF
+    out = np.empty_like(x)
+    # each branch only where it has elements: the series alone is some 40
+    # numpy calls, costly even on an empty selection
+    if small.any():
+        out[small] = np.polynomial.polynomial.polyval(x[small], _B_COEF)
+    if not small.all():
+        out[~small] = x[~small] + np.expm1(-x[~small])
+    return out
+
+
+def _stable_A(x: np.ndarray) -> np.ndarray:
+    """x - 2 + (x + 2) e^(-x) without cancellation."""
+    small = x < _SERIES_CUTOFF
+    out = np.empty_like(x)
+    if small.any():
+        out[small] = np.polynomial.polynomial.polyval(x[small], _A_COEF)
+    if not small.all():
+        xb = x[~small]
+        out[~small] = xb - 2.0 + (xb + 2.0) * np.exp(-xb)
+    return out

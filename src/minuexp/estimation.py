@@ -16,9 +16,9 @@ Least squares: fit the c.d.f. to the empirical one by one bounded search
 over lambda, with 1/a solved in closed form at each step (see fit_lsq).
 
 Both fits use local solvers and import no scipy: the moment equation is
-solved by bisection down to adjacent doubles, and the least-squares search
-is Brent's bounded minimizer (_bounded_brent).  A `fit` command therefore
-loads numpy alone.
+solved by k-section on the bit patterns of doubles, one vector G call per
+round, and the least-squares search is Brent's bounded minimizer
+(_bounded_brent).  A `fit` command therefore loads numpy alone.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from ._mixture import _stable_A, _stable_B
 
 __all__ = [
     "FitResult",
@@ -41,26 +43,13 @@ __all__ = [
 
 _G_LOWER = 4.0 / 3.0
 _G_UPPER = 2.0
-_SERIES_CUTOFF = 1.0
-_SERIES_TERMS = 42
 _RATE_MAX = 4.0  # fit_lsq's bracket [0, _RATE_MAX] for v = lambda * mean
 _RATE_TOL = 1e-8  # and its absolute tolerance in v
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))  # golden-section fraction, (3 - sqrt 5) / 2
 _SQRT_EPS = math.sqrt(2.2e-16)
 _BRENT_MAXITER = 500
-
-# ascending power-series coefficients of
-#   B(x) = x - 1 + e^(-x)            = sum_{j>=2} (-1)^j x^j / j!
-#   A(x) = x - 2 + (x + 2) e^(-x)    = sum_{j>=3} (-1)^j (2 - j) x^j / j!
-_B_COEF = np.array(
-    [(-1.0) ** j / math.factorial(j) if j >= 2 else 0.0 for j in range(_SERIES_TERMS)]
-)
-_A_COEF = np.array(
-    [
-        (-1.0) ** j * (2.0 - j) / math.factorial(j) if j >= 3 else 0.0
-        for j in range(_SERIES_TERMS)
-    ]
-)
+_KSECTION_CELLS = 64  # fit_mom's cells per round, one G value at each end
+_FINAL_SPAN = 64  # and the doubles searched beyond each end of the last cell
 
 
 @dataclass(frozen=True)
@@ -75,8 +64,8 @@ class FitResult:
     x_star: float | None = None
     objective: float | None = None
     diagnostic: str | None = None
-    iterations: int | None = None  # optimizer iterations (lsq only)
-    evaluations: int | None = None  # objective evaluations (lsq only)
+    iterations: int | None = None  # solver rounds (mom) or optimizer iterations (lsq)
+    evaluations: int | None = None  # G values (mom) or objective evaluations (lsq)
 
     def to_dict(self) -> dict:
         """JSON-ready mapping; non-finite numbers become None."""
@@ -102,25 +91,6 @@ def empirical_moments(values) -> tuple[float, float]:
     """First two raw sample moments (mean, mean of squares)."""
     arr = _validate_sample(values)
     return float(np.mean(arr)), float(np.mean(arr**2))
-
-
-def _stable_B(x: np.ndarray) -> np.ndarray:
-    """x - 1 + e^(-x) without cancellation (series below the cutoff)."""
-    small = x < _SERIES_CUTOFF
-    out = np.empty_like(x)
-    out[small] = np.polynomial.polynomial.polyval(x[small], _B_COEF)
-    out[~small] = x[~small] + np.expm1(-x[~small])
-    return out
-
-
-def _stable_A(x: np.ndarray) -> np.ndarray:
-    """x - 2 + (x + 2) e^(-x) without cancellation."""
-    small = x < _SERIES_CUTOFF
-    out = np.empty_like(x)
-    out[small] = np.polynomial.polynomial.polyval(x[small], _A_COEF)
-    xb = x[~small]
-    out[~small] = xb - 2.0 + (xb + 2.0) * np.exp(-xb)
-    return out
 
 
 def ratio_G(x):
@@ -182,32 +152,28 @@ def fit_mom_from_moments(m1: float, m2: float, x_max: float | None = None) -> Fi
             ),
         )
 
-    # G rises from 4/3 to 2, so widening each end until it brackets r_hat
-    # ends: G(x) rounds to 4/3 for x near 1e-16 and to 2.0 by x = 2^60
-    lo, hi = 1e-8, 1.0
-    while ratio_G(lo) >= r_hat:
-        lo *= 0.5
-    while ratio_G(hi) <= r_hat:
-        hi *= 2.0
-    # bisect, keeping G(lo) < r_hat <= G(hi), until no double lies between
-    # the ends
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if ratio_G(mid) < r_hat:
-            lo = mid
-        else:
-            hi = mid
-    # then step from lo to a neighbouring double while that brings G nearer
-    # r_hat, up first (which weighs hi against lo), then down: G's rounding
-    # error spans a few of its ulps, more than G changes from one double to
-    # the next, so the nearest double can lie just outside the bracket
-    x_star, miss = lo, abs(ratio_G(lo) - r_hat)
-    for toward in (math.inf, 0.0):
-        while True:
-            x = math.nextafter(x_star, toward)
-            x_miss = abs(ratio_G(x) - r_hat)
-            if x_miss >= miss:
-                break
-            x_star, miss = x, x_miss
+    # G rises from 4/3 to 2, and positive doubles sort like their int64 bit
+    # patterns, so k-section on the patterns narrows [1e-16, 2^60] (where G
+    # rounds to 4/3 and to 2.0) by about 64 per vector call, keeping a cell
+    # with G(lo) < r_hat <= G(hi)
+    lo, hi = (int(b) for b in np.array([1e-16, 2.0**60]).view(np.int64))
+    rounds = evaluations = 0
+    cells = np.arange(_KSECTION_CELLS + 1, dtype=np.int64)
+    while hi - lo > _KSECTION_CELLS:
+        bits = lo + (hi - lo) // _KSECTION_CELLS * cells
+        bits[-1] = hi
+        g = ratio_G(bits.view(np.float64))
+        rounds, evaluations = rounds + 1, evaluations + bits.size
+        cross = int(np.argmax(g >= r_hat))
+        lo, hi = int(bits[cross - 1]), int(bits[cross])
+    # G's rounding noise spans tens of doubles near the root, more than G
+    # changes per double, so the nearest G may lie outside the last cell
+    bits = np.arange(lo - _FINAL_SPAN, hi + _FINAL_SPAN + 1, dtype=np.int64)
+    window = bits.view(np.float64)
+    misses = np.abs(ratio_G(window) - r_hat)
+    evaluations += bits.size
+    best = int(np.argmin(misses))
+    x_star, miss = float(window[best]), float(misses[best])
     converged = miss <= 1e-10
     lambda_hat = float(_stable_B(np.array([x_star]))[0]) / (x_star * m1)
     return FitResult(
@@ -217,6 +183,8 @@ def fit_mom_from_moments(m1: float, m2: float, x_max: float | None = None) -> Fi
         converged=converged,
         r_hat=r_hat,
         x_star=x_star,
+        iterations=rounds,
+        evaluations=evaluations,
     )
 
 

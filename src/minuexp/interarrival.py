@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import structure
-from ._mixture import log_mixing_kernel, mixing_kernel
+from ._mixture import _stable_B, log_mixing_kernel, mixing_kernel
 from .structure import MinUExpParams, _finish, _integer
 
 __all__ = [
@@ -34,19 +34,22 @@ __all__ = [
 
 
 def tau_cdf(params: MinUExpParams, t):
-    """C.d.f. of one inter-arrival:
+    """C.d.f. of one inter-arrival, with c = lambda + t:
 
-    F(t) = t/(lambda+t) - t/(a (lambda+t)^2) (1 - e^(-a(lambda+t))),  t > 0
+    F(t) = t/c - t/(a c^2) (1 - e^(-ac)) = (t/c) B(ac)/(ac),  t > 0
 
-    and 0 for t <= 0.  Equals 1 minus the structure law's transform.
+    and 0 for t <= 0, where B(x) = x - 1 + e^(-x) is summed as a series for
+    small x, so F keeps its relative precision when ac is small; the factor
+    t/c keeps large t from overflowing.  Equals 1 minus the structure law's
+    transform.
     """
     a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
     pos = arr > 0.0
     ti = np.where(pos, arr, 1.0)
     c = lam + ti
-    # c * c, not c**2, as in structure.lst
-    body = ti / c - ti / (a * (c * c)) * (-np.expm1(-a * c))
+    ac = np.asarray(a * c)
+    body = ti / c * (_stable_B(ac) / ac)
     out = np.where(pos, body, 0.0)
     return _finish(arr, out)
 

@@ -4,8 +4,8 @@ seeded Monte Carlo with error bands, and goodness-of-fit comparators.
 Every closed form in the package is checked against this layer before it
 is trusted; the quadrature route never reuses the closed form it checks,
 only the mixing density and the kernel under the integral sign.  The
-density is evaluated in plain Python floats inside the integrand, since
-QUADPACK calls it once per node.
+density is evaluated in plain Python floats inside the integrand closure,
+so each quadrature node costs one Python call besides the kernel's.
 """
 
 from __future__ import annotations
@@ -42,19 +42,20 @@ class OracleResult:
     n_or_evals: int
 
 
-def _scalar_density(params: MinUExpParams):
-    """The Min-U-Exp density at a float x in (0, a), in plain float arithmetic.
+def _integrand(params: MinUExpParams, kernel):
+    """x -> kernel(x) times the Min-U-Exp density at a float x in (0, a).
 
-    Same operations in the same order as structure.pdf, without its array
-    conversion and (0, a) mask, which cost far more per scalar call.
+    The density takes the operations of structure.pdf in the same order, in
+    plain floats, without its array conversion and (0, a) mask, which cost
+    far more per scalar call; QUADPACK calls this once per node.
     """
     a, neg_lam, lam = params.a, -params.lam, params.lam
     head = lam * a + 1.0
 
-    def density(x: float) -> float:
-        return math.exp(neg_lam * x) / a * (head - x * lam)
+    def integrand(x: float) -> float:
+        return kernel(x) * (math.exp(neg_lam * x) / a * (head - x * lam))
 
-    return density
+    return integrand
 
 
 def mix_integral(params: MinUExpParams, kernel, epsrel: float = 1e-12) -> OracleResult:
@@ -70,11 +71,7 @@ def mix_integral(params: MinUExpParams, kernel, epsrel: float = 1e-12) -> Oracle
     result is accepted only when its error estimate is at most 1e-10 of
     its value, relative at every scale; otherwise OracleError is raised.
     """
-    density = _scalar_density(params)
-
-    def integrand(x: float) -> float:
-        return kernel(x) * density(x)
-
+    integrand = _integrand(params, kernel)
     last = None
     for eps in (epsrel, 10 * epsrel, 100 * epsrel):
         out = integrate.quad(

@@ -16,6 +16,8 @@ Kernels keep each row's integrand expression (``x**2`` and ``x * x``
 differ in the last bit on some doubles), so no reference moves.  Three
 rows integrate ``bivariate_pdf``, ``xi_given_tau_pdf`` and
 ``xi_given_count_pdf`` themselves, since those rows check the evaluators.
+Count p.m.f.s are evaluated in blocks of n, one vector call per block,
+not one scalar call per n.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .oracle import mix_integral
 from .structure import MinUExpParams
 
 __all__ = ["CheckRow", "run_validation"]
+
+_PMF_LAST = 10_001  # the last n the count p.m.f. normalization adds
 
 
 @dataclass(frozen=True)
@@ -207,6 +211,27 @@ def _quad(f, a: float) -> float:
     return integrate.quad(f, 0.0, a, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
+def _count_pmf_and_mass(params: MinUExpParams, n_min: int) -> tuple[np.ndarray, float]:
+    """count_pmf at n = 0, 1, ... and the adaptively truncated total mass.
+
+    The total adds p_0, p_1, ... in order and stops at the first n with
+    p_n < 1e-16 and total > 0.5, or at n = _PMF_LAST.  The p.m.f. is
+    evaluated in blocks of 256, 512, ... values (the first holds at least
+    n_min), and each block's running sum is a cumsum seeded by the total so
+    far, so the additions are those of a scalar loop, in its order.
+    """
+    blocks, total, start, size = [], 0.0, 0, max(256, n_min)
+    while True:
+        n = np.arange(start, min(start + size, _PMF_LAST + 1))
+        block = counting.count_pmf(params, n)
+        blocks.append(block)
+        sums = np.cumsum(np.concatenate(([total], block)))[1:]
+        stop = ((block < 1e-16) & (sums > 0.5)) | (n == _PMF_LAST)
+        if stop.any():
+            return np.concatenate(blocks), float(sums[np.argmax(stop)])
+        total, start, size = float(sums[-1]), start + size, 2 * size
+
+
 def _pair_entries(params: MinUExpParams, t_grid, n_erlang: int, n_count: int):
     """(name, value, reference, tol) of each row at one parameter pair, in report order.
 
@@ -247,16 +272,9 @@ def _pair_entries(params: MinUExpParams, t_grid, n_erlang: int, n_count: int):
             moment = math.gamma(p + n) / math.gamma(n) * ref(_power_exp, -p, 0)
             yield f"{tag} arrival-epoch moment n={n} p={p}", interarrival.erlang_moment(params, n, p), moment, 1e-8
 
+    pmf, total = _count_pmf_and_mass(params, n_count + 1)
     for n in range(n_count + 1):
-        yield f"{tag} count pmf n={n}", counting.count_pmf(params, n), ref(_count, n), 1e-8
-    # adaptive truncation of the total mass
-    total, n = 0.0, 0
-    while True:
-        p_n = counting.count_pmf(params, n)
-        total += p_n
-        if (p_n < 1e-16 and total > 0.5) or n > 10_000:
-            break
-        n += 1
+        yield f"{tag} count pmf n={n}", pmf[n], ref(_count, n), 1e-8
     yield f"{tag} count pmf normalization", total, 1.0, 1e-10
     mean, var = counting.count_mean_var(params, 1.0)
     yield f"{tag} count mean", mean, m1, 1e-10
@@ -275,7 +293,7 @@ def _pair_entries(params: MinUExpParams, t_grid, n_erlang: int, n_count: int):
     # p.g.f. derivatives at 0 recover the pmf
     for k in range(5):
         coefficient = pgf_series_coefficient(params, 1.0, k)
-        yield f"{tag} pgf series coefficient k={k}", coefficient, counting.count_pmf(params, k), 1e-6, "match", False
+        yield f"{tag} pgf series coefficient k={k}", coefficient, pmf[k], 1e-6, "match", False
 
 
 def _adjudication_entries() -> list[tuple]:

@@ -15,6 +15,10 @@ from minuexp import MinUExpParams
 PARAM_GRID = [
     MinUExpParams(a, lam) for a in (0.5, 1.0, 2.0, 5.0) for lam in (0.25, 1.0, 4.0)
 ]
+# small-(a, lambda) corners below PARAM_GRID, where direct closed forms cancel
+CORNER_GRID = [
+    MinUExpParams(a, lam) for a, lam in ((1e-6, 1e-6), (1e-3, 1e-3), (1e-4, 5.0), (1e-8, 1e3))
+]
 P11 = MinUExpParams(1.0, 1.0)
 P110 = MinUExpParams(110.0, 0.04)
 

@@ -174,7 +174,8 @@ class TestSampleAndFit:
         assert 0 < lsq["iterations"] <= lsq["evaluations"]
         _, out, _ = run_cli(capsys, "fit", "--input", str(draws), "--method", "mom")
         mom = json.loads(out)
-        assert mom["iterations"] is None and mom["evaluations"] is None
+        assert isinstance(mom["iterations"], int) and isinstance(mom["evaluations"], int)
+        assert 0 < mom["iterations"] <= mom["evaluations"]
 
     def test_fit_nonconvergence_exit_3(self, capsys, tmp_path):
         heavy = tmp_path / "heavy.txt"

@@ -39,6 +39,37 @@ def vectorized_quantiles(params, levels):
     return 0.5 * (lo + hi)
 
 
+def bisection_roots(r_hats):
+    """Roots of G(x) = r_hat as fit_mom_from_moments found them by bisection.
+
+    Double a bracket out from [1e-8, 1] until G(lo) < r_hat < G(hi), bisect
+    it until no double lies between the ends, then step from the lower end
+    to a neighbouring double, up and then down, while that brings G nearer
+    r_hat.  Run in lockstep over a vector of ratios; ratio_G is elementwise,
+    so each ratio meets the doubles of a scalar run.  Returns the roots and
+    their misses |G(x) - r_hat|.
+    """
+    r = np.asarray(r_hats, dtype=float)
+    lo, hi = np.full_like(r, 1e-8), np.ones_like(r)
+    while (low := ratio_G(lo) >= r).any():
+        lo[low] *= 0.5
+    while (high := ratio_G(hi) <= r).any():
+        hi[high] *= 2.0
+    while (split := (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
+        below = ratio_G(mid) < r
+        lo = np.where(split & below, mid, lo)
+        hi = np.where(split & ~below, mid, hi)
+    x, miss = lo, np.abs(ratio_G(lo) - r)
+    for toward in (np.inf, 0.0):
+        moving = np.ones(r.shape, dtype=bool)
+        while moving.any():
+            step = np.nextafter(x, toward)
+            step_miss = np.abs(ratio_G(step) - r)
+            moving &= step_miss < miss
+            x, miss = np.where(moving, step, x), np.where(moving, step_miss, miss)
+    return x, miss
+
+
 class TestEmpiricalMoments:
     def test_examples(self):
         m1, m2 = empirical_moments([1.0, 2.0, 3.0])
@@ -151,6 +182,34 @@ class TestFitMom:
         miss = abs(ratio_G(x) - r_hat)
         assert miss <= abs(ratio_G(np.nextafter(x, 0.0)) - r_hat)
         assert miss <= abs(ratio_G(np.nextafter(x, np.inf)) - r_hat)
+
+    def test_never_misses_more_than_bisection(self, monkeypatch):
+        # |G(x*) - r_hat| is never above that of the bisection-and-walk
+        # solver, at most 12 vector G calls per fit, and the counts say so
+        ratios = np.concatenate(
+            [
+                [4.0 / 3.0 + 1e-12, 4.0 / 3.0 + 1e-9, 2.0 - 1e-9, 2.0 - 1e-12],
+                make_stream(41).uniform(4.0 / 3.0, 2.0, 1800),
+                4.0 / 3.0 + np.geomspace(1e-15, 0.66, 200),
+            ]
+        )
+        _, bisection_misses = bisection_roots(ratios)
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return ratio_G(x)
+
+        monkeypatch.setattr(estimation, "ratio_G", counted)
+        for r_hat, bisection_miss in zip(ratios.tolist(), bisection_misses.tolist()):
+            calls = 0
+            result = fit_mom_from_moments(1.0, r_hat)
+            assert abs(ratio_G(result.x_star) - r_hat) <= bisection_miss
+            assert result.converged == (bisection_miss <= 1e-10)
+            assert calls <= 12
+            assert result.iterations == calls - 1  # the rounds, then the final window
+            assert result.iterations < result.evaluations <= 65 * calls + 128
 
     def test_out_of_range_ratio_reports_nonconvergence(self):
         result = fit_mom_from_moments(1.0, 2.5)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -26,6 +27,7 @@ from minuexp import (
 from minuexp.oracle import ks_statistic, mc_mean, mix_integral
 
 from conftest import (
+    CORNER_GRID,
     FROZEN_BIVARIATE_1_HALF,
     FROZEN_ERLANG2_MOMENT_HALF,
     FROZEN_LST_AT_1,
@@ -38,6 +40,7 @@ from conftest import (
     P11,
     P110,
     PARAM_GRID,
+    rel_err,
 )
 
 T_GRID = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -57,6 +60,21 @@ def truncated_normalization(density, lam: float, a: float, n: int = 1) -> float:
 class TestTauCdf:
     def test_frozen_value(self):
         assert tau_cdf(P11, 1.0) == pytest.approx(FROZEN_TAU_CDF_AT_1, rel=1e-13)
+
+    @pytest.mark.parametrize("params", CORNER_GRID, ids=lambda p: f"a={p.a:g},lam={p.lam:g}")
+    def test_small_corner_matches_mpmath(self, params):
+        # t/c - t/(a c^2) (1 - e^(-ac)) at 60 digits, where double arithmetic
+        # in that form cancels as ac -> 0
+        ts = np.geomspace(1e-12, 1e6, 37)
+        with mpmath.workdps(60):
+            a, lam = mpmath.mpf(params.a), mpmath.mpf(params.lam)
+
+            def reference(t):
+                c = lam + t
+                return float(t / c - t / (a * c**2) * -mpmath.expm1(-a * c))
+
+            ref = [reference(mpmath.mpf(t)) for t in ts.tolist()]
+        assert rel_err(tau_cdf(params, ts), ref) <= 1e-12
 
     def test_support_and_properness(self):
         assert tau_cdf(P11, 0.0) == 0.0

@@ -9,7 +9,7 @@ from minuexp import cdf, make_stream, pdf, sample, tau_sample
 from minuexp.oracle import (
     OracleError,
     OracleResult,
-    _scalar_density,
+    _integrand,
     chi_square_pmf,
     ks_statistic,
     mc_mean,
@@ -47,7 +47,7 @@ class TestMixIntegral:
     def test_scalar_density_equals_structure_pdf(self):
         rng = make_stream(31)
         for p in PARAM_GRID + [P110]:
-            density = _scalar_density(p)
+            density = _integrand(p, lambda x: 1.0)
             for x in rng.uniform(0.0, p.a, size=200):
                 x = float(x)
                 if 0.0 < x < p.a:
