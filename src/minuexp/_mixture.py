@@ -15,14 +15,25 @@ density use integer s; the moments use c = lambda:
     waiting-time moment E(tau^p)     = Gamma(p+1) J(-p, lambda)
     arrival-epoch moment E(T_n^p)    = Gamma(p+n)/Gamma(n) J(-p, lambda)
 
-The polynomial coefficient can go negative for large s while the total
-stays positive (the integrand is positive), so the two terms are combined
-in log space with sign tracking; a^s, e^(-ac) and c^(s+2) all overflow or
-underflow in direct form once s or ac is large.
+The polynomial coefficient q = lambda a c + c - lambda (s+1) can go
+negative for large s while the total stays positive (the integrand is
+positive), so the two terms are combined in log space with sign tracking;
+a^s, e^(-ac) and c^(s+2) all overflow or underflow in direct form once s
+or ac is large.  With l1 = log|t1|, l2 = log t2 and m = max(l1, l2) the
+combine is one expression over every element, whatever the sign of q:
 
-The module also holds B(x) = x - 1 + e^(-x) and A(x) = x - 2 + (x + 2) e^(-x)
-without cancellation (_stable_B, _stable_A): the moment ratio of the
-estimators is 2x A(x) / B(x)^2 and the waiting-time c.d.f. is (t/c) B(ac)/(ac).
+    log J = m + log(max(sign(q) e^(l1-m) + e^(l2-m), 0))
+
+At q = 0 the t1 term drops out exactly.  Where q < 0 and rounding leaves
+the sum non-positive, the clamp gives log J = -inf (J = 0), never NaN.
+There is no branch on the sign of q, so a scalar call and the same point
+inside any array give the same bits.
+
+The module also holds B(x) = x - 1 + e^(-x), A(x) = x - 2 + (x + 2) e^(-x)
+and C(x) = 1 - (1 + x) e^(-x) without cancellation (_stable_B, _stable_A,
+_stable_C): the moment ratio of the estimators is 2x A(x) / B(x)^2, the
+waiting-time c.d.f. is (t/c) B(ac)/(ac) and its density
+(lambda B(ac) + t C(ac)) / (ac c^2).
 """
 
 from __future__ import annotations
@@ -78,28 +89,13 @@ def log_mixing_kernel(params: MinUExpParams, s, c):
     )
     log_t2 = np.log(lam) + s * np.log(a) - a * c - log_c
 
-    pos = q >= 0.0
-    if pos.all():
-        out = np.logaddexp(log_abs_t1, log_t2)
-    elif not pos.any():
-        out = _log_t2_minus_t1(log_abs_t1, log_t2)
-    else:
-        out = np.empty(q.shape)
-        out[pos] = np.logaddexp(log_abs_t1[pos], log_t2[pos])
-        neg = ~pos
-        out[neg] = _log_t2_minus_t1(log_abs_t1[neg], log_t2[neg])
-    return out if out.ndim else float(out)
-
-
-def _log_t2_minus_t1(log_abs_t1, log_t2):
-    """log(t2 - |t1|) where q < 0; positive because the underlying integrand is.
-
-    Only these elements may reach expm1: where q >= 0, |t1| can exceed t2
-    by far and the exponential overflows.
-    """
-    diff = -np.expm1(log_abs_t1 - log_t2)
+    # the single combine of the module docstring; shifting by m keeps both
+    # exponentials in [0, 1] however far |t1| exceeds t2 where q > 0
     with np.errstate(divide="ignore"):
-        return log_t2 + np.log(np.maximum(diff, 0.0))
+        m = np.maximum(log_abs_t1, log_t2)
+        total = np.copysign(np.exp(log_abs_t1 - m), q) + np.exp(log_t2 - m)
+        out = m + np.log(np.maximum(total, 0.0))
+    return out if out.ndim else float(out)
 
 
 def mixing_kernel(params: MinUExpParams, s, c):
@@ -130,4 +126,20 @@ def _stable_A(x: np.ndarray) -> np.ndarray:
     if not small.all():
         xb = x[~small]
         out[~small] = xb - 2.0 + (xb + 2.0) * np.exp(-xb)
+    return out
+
+
+def _stable_C(x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 - (1 + x) e^(-x) without cancellation, given b = _stable_B(x).
+
+    Below the cutoff it is B(x) - A(x), with A(x) < B(x)/3 there; above it,
+    -expm1(-x) - x e^(-x), whose second term is at most 0.58 of the first.
+    """
+    small = x < _SERIES_CUTOFF
+    out = np.empty_like(x)
+    if small.any():
+        out[small] = b[small] - _stable_A(x[small])
+    if not small.all():
+        xb = x[~small]
+        out[~small] = -np.expm1(-xb) - xb * np.exp(-xb)
     return out

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import structure
-from ._mixture import _stable_B, log_mixing_kernel, mixing_kernel
+from ._mixture import _stable_B, _stable_C, log_mixing_kernel, mixing_kernel
 from .structure import MinUExpParams, _finish, _integer
 
 __all__ = [
@@ -38,38 +38,43 @@ def tau_cdf(params: MinUExpParams, t):
 
     F(t) = t/c - t/(a c^2) (1 - e^(-ac)) = (t/c) B(ac)/(ac),  t > 0
 
-    and 0 for t <= 0, where B(x) = x - 1 + e^(-x) is summed as a series for
-    small x, so F keeps its relative precision when ac is small; the factor
-    t/c keeps large t from overflowing.  Equals 1 minus the structure law's
-    transform.
+    0 for t <= 0 and 1 at t = +inf, where B(x) = x - 1 + e^(-x) is summed as
+    a series for small x, so F keeps its relative precision when ac is
+    small; the factor t/c keeps large t from overflowing.  Equals 1 minus
+    the structure law's transform.
     """
     a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
-    pos = arr > 0.0
-    ti = np.where(pos, arr, 1.0)
+    finite = (arr > 0.0) & (arr < np.inf)
+    ti = np.where(finite, arr, 1.0)
     c = lam + ti
     ac = np.asarray(a * c)
     body = ti / c * (_stable_B(ac) / ac)
-    out = np.where(pos, body, 0.0)
+    out = np.where(finite, body, np.where(arr == np.inf, 1.0, 0.0))
     return _finish(arr, out)
 
 
 def tau_pdf(params: MinUExpParams, t):
-    """Density of one inter-arrival on t > 0:
+    """Density of one inter-arrival on t > 0, with c = lambda + t and z = ac:
 
-    lambda/(lambda+t)^2 + (t-lambda)/(a (lambda+t)^3) (1 - e^(-a(lambda+t)))
-    - t/(lambda+t)^2 e^(-a(lambda+t))
+    lambda/c^2 + (t-lambda)/(a c^3) (1 - e^(-z)) - t/c^2 e^(-z)
+        = (lambda B(z) + t C(z)) / (z c^2)
+
+    where B(z) = z - 1 + e^(-z) and C(z) = 1 - (1+z) e^(-z) are both
+    nonnegative and free of cancellation, so the density keeps its relative
+    precision (and its sign) at small a and lambda.  B/z and C/z are at most
+    1, and dividing by c twice keeps large t from overflowing.  0 for t <= 0
+    and at t = +inf.
     """
     a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
-    pos = arr > 0.0
-    ti = np.where(pos, arr, 1.0)
+    finite = (arr > 0.0) & (arr < np.inf)
+    ti = np.where(finite, arr, 1.0)
     c = lam + ti
-    e = np.exp(-a * c)
-    # c * c and the np.power ufunc give a 0-d c the bits an array gets; a
-    # numpy scalar's ** calls libm pow, which can differ in the last bit
-    body = lam / (c * c) + (ti - lam) / (a * np.power(c, 3)) * (1.0 - e) - ti / (c * c) * e
-    out = np.where(pos, body, 0.0)
+    z = np.asarray(a * c)
+    b = _stable_B(z)
+    body = (lam * (b / z) + ti * (_stable_C(z, b) / z)) / c / c
+    out = np.where(finite, body, 0.0)
     return _finish(arr, out)
 
 

@@ -128,15 +128,20 @@ def variance(params: MinUExpParams) -> float:
 
 
 def lst(params: MinUExpParams, t):
-    """Laplace-Stieltjes transform E e^(-t xi) for t >= 0."""
+    """Laplace-Stieltjes transform E e^(-t xi) for t >= 0; 0 at t = +inf.
+
+    lambda/c + (t/c) (1 - e^(-ac))/(ac) with c = lambda + t: both factors of
+    the second term are at most 1, so large t does not overflow.
+    """
     a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValueError("transform argument t must be nonnegative")
-    c = lam + arr
-    # c * c, not c**2: a numpy scalar's ** calls libm pow, which can differ
-    # in the last bit from the exact square an array gets
-    out = lam / c + arr / (a * (c * c)) * (-np.expm1(-c * a))
+    finite = arr < np.inf
+    ti = np.where(finite, arr, 0.0)
+    c = lam + ti
+    z = a * c
+    out = np.where(finite, lam / c + ti / c * (-np.expm1(-z) / z), 0.0)
     return _finish(arr, out)
 
 

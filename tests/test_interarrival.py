@@ -1,6 +1,7 @@
 """Waiting-time laws: closed forms vs the mixture oracle, samplers, identities."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy import integrate, stats
 
 from minuexp import (
+    MinUExpParams,
     bivariate_pdf,
     erlang_moment,
     erlang_pdf,
@@ -105,6 +107,47 @@ class TestTauPdf:
         for p in (P11, PARAM_GRID[0], PARAM_GRID[-1]):
             total = truncated_normalization(lambda t: tau_pdf(p, t), p.lam, p.a)
             assert total == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "params", CORNER_GRID + PARAM_GRID, ids=lambda p: f"a={p.a:g},lam={p.lam:g}"
+    )
+    def test_matches_mpmath_down_to_small_corners(self, params):
+        # the three-term form at 60 digits; in double arithmetic it cancelled
+        # to 8.5e-5 relative at (1e-3, 1e-3) and to the wrong sign at (1e-6, 1e-6)
+        ts = np.geomspace(1e-12, 1e6, 37)
+        with mpmath.workdps(60):
+            a, lam = mpmath.mpf(params.a), mpmath.mpf(params.lam)
+
+            def reference(t):
+                c = lam + t
+                e = mpmath.exp(-a * c)
+                return float(lam / c**2 + (t - lam) / (a * c**3) * (1 - e) - t / c**2 * e)
+
+            ref = [reference(mpmath.mpf(t)) for t in ts.tolist()]
+        assert rel_err(tau_pdf(params, ts), ref) <= 1e-12
+
+    def test_nonnegative_at_the_smallest_corner(self):
+        # the direct form was negative at 116 of these points
+        assert (tau_pdf(CORNER_GRID[0], np.geomspace(1e-12, 1e6, 400)) >= 0.0).all()
+
+    def test_large_t_does_not_overflow(self):
+        # (lambda + 1/a) / c^2 for t past 1e154, where c^3 overflows
+        for t in (1e150, 1e160):
+            with mpmath.workdps(30):
+                ref = float((1 + 1 / mpmath.mpf(0.5)) / (1 + mpmath.mpf(t)) ** 2)
+            assert tau_pdf(MinUExpParams(0.5, 1.0), t) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("evaluator,limit", [(tau_cdf, 1.0), (tau_pdf, 0.0), (lst, 0.0)])
+def test_limit_at_infinity(evaluator, limit):
+    # each used to give NaN from inf/inf, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (P11, P110, CORNER_GRID[0]):
+            assert evaluator(p, math.inf) == limit
+            out = evaluator(p, np.array([2.0, math.inf, 0.5]))
+            assert out[1] == limit
+            assert out[[0, 2]].tolist() == [evaluator(p, 2.0), evaluator(p, 0.5)]
 
 
 class TestTauMoment:

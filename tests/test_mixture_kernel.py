@@ -164,6 +164,34 @@ def test_zero_coefficient_edge():
     assert got == pytest.approx(ref, rel=1e-12)
 
 
+def test_count_pmf_across_the_zero_coefficient():
+    # at (1, 1) the count p.m.f. has c = 2 and q = 3 - n: positive below
+    # n = 3, exactly 0 at n = 3 (only the t2 term is left) and negative above
+    mpmath.mp.dps = 60
+    got = count_pmf(P11, np.arange(11))
+    for n in range(11):
+        ref = mpmath.exp(_log_kernel_reference(1.0, 1.0, n, 2.0)) / mpmath.factorial(n)
+        assert got[n] == pytest.approx(float(ref), rel=1e-14), n
+    assert count_pmf(P11, 3) == pytest.approx(float(mpmath.exp(-2) / 12), rel=1e-14)
+
+
+@pytest.mark.parametrize("params", [P11, MinUExpParams(0.5, 0.25)], ids=str)
+def test_count_pmf_array_equals_scalars_where_q_changes_sign(params):
+    # q changes sign at n = 3 and n = 4.6; the combine once took a different
+    # branch for all-positive, all-negative and mixed arrays
+    ns = np.arange(2001)
+    assert count_pmf(params, ns).tolist() == [count_pmf(params, int(n)) for n in ns]
+
+
+def test_erlang_pdf_array_equals_scalars_where_q_changes_sign():
+    # at (1, 1) q = 2 (1 + t) - (n + 1) changes sign at t = (n - 1)/2
+    ts = np.geomspace(1e-3, 1e3, 120)
+    for n in range(1, 21):
+        assert interarrival.erlang_pdf(P11, n, ts).tolist() == [
+            interarrival.erlang_pdf(P11, n, float(t)) for t in ts
+        ], n
+
+
 def test_large_count_pmf_at_figure_parameters():
     # a = 110 pushes a^n and e^(-ac) far outside double range
     mpmath.mp.dps = 80

@@ -220,6 +220,12 @@ class TestLst:
         with pytest.raises(ValueError):
             lst(P11, -0.5)
 
+    def test_large_t_does_not_overflow(self):
+        # lambda/c + 1/(a c) (1 - e^(-ac)) ~ (lambda + 1/a)/c: with c^2 in the
+        # denominator the second term overflowed to 0 past t = 1.3e154
+        for t in (1e150, 1e160, 1e300):
+            assert lst(MinUExpParams(0.5, 1.0), t) == pytest.approx(3.0 / (1.0 + t), rel=1e-15, abs=0.0)
+
     def test_quadrature_match(self):
         for p in PARAM_GRID:
             for t in (0.1, 1.0, 5.0):

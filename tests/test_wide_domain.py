@@ -1,0 +1,50 @@
+"""Properties over a wide parameter domain, below and above the test grid.
+
+PARAM_GRID keeps a >= 0.5 and lambda >= 0.25; here a and lambda are drawn
+log-uniformly from [1e-6, 1e3], orders up to 2000 and times from 1e-6 to
+1e6, where direct closed forms used to cancel to wrong signs.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from minuexp import MinUExpParams, erlang_pdf, tau_cdf, tau_pdf
+from minuexp._mixture import log_mixing_kernel
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+params_st = st.builds(MinUExpParams, _log_uniform(1e-6, 1e3), _log_uniform(1e-6, 1e3))
+times_st = st.lists(_log_uniform(1e-6, 1e6), min_size=1, max_size=8)
+
+
+@given(params=params_st, s=st.integers(0, 2000), ts=times_st)
+def test_log_kernel_is_never_nan_and_arrays_equal_scalars(params, s, ts):
+    cs = params.lam + np.array(ts)
+    out = log_mixing_kernel(params, s, cs)
+    assert not np.isnan(out).any()
+    assert out.tolist() == [log_mixing_kernel(params, s, float(c)) for c in cs]
+
+
+# a fixed log-spaced sweep besides the drawn times: the direct tau_pdf form
+# was negative somewhere on it for about 9% of parameter pairs
+T_SWEEP = np.geomspace(1e-6, 1e6, 200)
+
+
+@given(params=params_st, n=st.integers(1, 2000), ts=times_st)
+def test_densities_are_nonnegative(params, n, ts):
+    t = np.concatenate([ts, T_SWEEP])
+    assert (erlang_pdf(params, n, t) >= 0.0).all()
+    assert (tau_pdf(params, t) >= 0.0).all()
+
+
+@given(params=params_st, ts=times_st)
+def test_waiting_time_cdf_is_monotone_in_unit_interval(params, ts):
+    cdf = tau_cdf(params, np.sort(ts))
+    assert ((cdf >= 0.0) & (cdf <= 1.0)).all()
+    assert (np.diff(cdf) >= 0.0).all()
