@@ -10,13 +10,14 @@ oracle; see the validation report for the rejected variants.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import structure
 from ._mixture import _stable_B, _stable_C, log_mixing_kernel, mixing_kernel
-from .structure import MinUExpParams, _finish, _integer
+from .structure import MinUExpParams, _finish, _integer, _scaled_rate
 
 __all__ = [
     "tau_cdf",
@@ -40,16 +41,18 @@ def tau_cdf(params: MinUExpParams, t):
 
     0 for t <= 0 and 1 at t = +inf, where B(x) = x - 1 + e^(-x) is summed as
     a series for small x, so F keeps its relative precision when ac is
-    small; the factor t/c keeps large t from overflowing.  Equals 1 minus
-    the structure law's transform.
+    small; the factor t/c keeps large t from overflowing, and where ac
+    overflows F is t/c.  Equals 1 minus the structure law's transform.
     """
     a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
     finite = (arr > 0.0) & (arr < np.inf)
     ti = np.where(finite, arr, 1.0)
     c = lam + ti
-    ac = np.asarray(a * c)
+    ac, huge = _scaled_rate(a, c)
     body = ti / c * (_stable_B(ac) / ac)
+    if huge is not None:
+        body = np.where(huge, ti / c, body)
     out = np.where(finite, body, np.where(arr == np.inf, 1.0, 0.0))
     return _finish(arr, out)
 
@@ -63,19 +66,30 @@ def tau_pdf(params: MinUExpParams, t):
     where B(z) = z - 1 + e^(-z) and C(z) = 1 - (1+z) e^(-z) are both
     nonnegative and free of cancellation, so the density keeps its relative
     precision (and its sign) at small a and lambda.  B/z and C/z are at most
-    1, and dividing by c twice keeps large t from overflowing.  0 for t <= 0
-    and at t = +inf.
+    1, and dividing by c twice keeps large t from overflowing; where z
+    overflows they are 1 and 1/(ac).  0 for t <= 0 and at t = +inf.
     """
-    a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
     finite = (arr > 0.0) & (arr < np.inf)
     ti = np.where(finite, arr, 1.0)
-    c = lam + ti
-    z = np.asarray(a * c)
-    b = _stable_B(z)
-    body = (lam * (b / z) + ti * (_stable_C(z, b) / z)) / c / c
-    out = np.where(finite, body, 0.0)
+    c = params.lam + ti
+    out = np.where(finite, _tau_pdf_times_c2(params, ti, c) / c / c, 0.0)
     return _finish(arr, out)
+
+
+def _tau_pdf_times_c2(params: MinUExpParams, t, c):
+    """c^2 tau_pdf(t) = lambda B(z)/z + t C(z)/z at finite t > 0, c = lambda + t.
+
+    At most lambda + t/c, and about lambda + 1/a once t is large, so it is a
+    normal double even where tau_pdf itself underflows (t past about 1e154).
+    """
+    a, lam = params.a, params.lam
+    z, huge = _scaled_rate(a, c)
+    b = _stable_B(z)
+    body = lam * (b / z) + t * (_stable_C(z, b) / z)
+    if huge is not None:
+        body = np.where(huge, lam + t / c / a, body)
+    return body
 
 
 def tau_moment(params: MinUExpParams, power: float) -> float:
@@ -107,36 +121,36 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     a, lam = params.a, params.lam
     t_arr = np.asarray(t, dtype=float)
     x_arr = np.asarray(x, dtype=float)
-    scalar = t_arr.ndim == 0 and x_arr.ndim == 0
-    t_b, x_b = np.broadcast_arrays(t_arr, x_arr)
-    inside = (t_b > 0.0) & (x_b > 0.0) & (x_b < a)
-    ts = np.where(inside, t_b, 1.0)
-    xs = np.where(inside, x_b, 0.5 * a)
+    inside = (t_arr > 0.0) & (x_arr > 0.0) & (x_arr < a)
+    ts = np.where(inside, t_arr, 1.0)
+    xs = np.where(inside, x_arr, 0.5 * a)
     body = xs / a * np.exp(-(lam + ts) * xs) * (1.0 + lam * a - xs * lam)
-    out = np.where(np.isnan(t_b) | np.isnan(x_b), np.nan, np.where(inside, body, 0.0))
-    return float(out) if scalar else out
+    out = np.where(np.isnan(t_arr) | np.isnan(x_arr), np.nan, np.where(inside, body, 0.0))
+    return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=64)
+def _marginal_times_c2(params: MinUExpParams, t: float) -> float:
+    """c^2 tau_pdf(t), memoized: quadrature over x repeats (params, t)."""
+    return float(_tau_pdf_times_c2(params, np.asarray(t), np.asarray(params.lam + t)))
 
 
 def xi_given_tau_pdf(params: MinUExpParams, t: float, x):
     """Posterior density of xi given tau = t, supported on (0, a):
 
-    x (lambda+t)^3 e^(-(lambda+t)x) (1 + lambda a - lambda x) / D(t)
+    bivariate_pdf(t, x) / tau_pdf(t), the joint density over the marginal.
 
-    with D(t) = a lambda (lambda+t) + (t-lambda)(1 - e^(-a(lambda+t)))
-                - a t (lambda+t) e^(-a(lambda+t)).
+    The marginal is the cancellation-free form of tau_pdf, so the density
+    keeps its relative precision and its sign at small a and lambda.  It is
+    computed once per (params, t), as c^2 tau_pdf(t) with c = lambda + t,
+    and the quotient is multiplied by c twice: tau_pdf itself underflows
+    for t past about 1e154, where the posterior is still a normal double.
     """
-    if not t > 0.0:
-        raise ValueError("conditioning time t must be positive")
-    a, lam = params.a, params.lam
-    c = lam + t
-    e = math.exp(-a * c)
-    denom = a * lam * c + (t - lam) * (1.0 - e) - a * t * c * e
-    arr = np.asarray(x, dtype=float)
-    inside = (arr > 0.0) & (arr < a)
-    xs = np.where(inside, arr, 0.5 * a)
-    body = xs * c**3 * np.exp(-c * xs) * (1.0 + lam * a - lam * xs) / denom
-    out = np.where(inside, body, 0.0)
-    return _finish(arr, out)
+    if not 0.0 < t < math.inf:
+        raise ValueError("conditioning time t must be a finite positive real")
+    t = float(t)
+    c = params.lam + t
+    return bivariate_pdf(params, t, x) / _marginal_times_c2(params, t) * c * c
 
 
 def mean_xi_given_tau(params: MinUExpParams, t):

@@ -39,6 +39,10 @@ __all__ = [
     "ThinningResult",
 ]
 
+# rows per block of sample_grid_counts: its rate and draw buffers of a few
+# grid times then stay within the L2 cache
+_BLOCK_ROWS = 4096
+
 
 class MuTransform:
     """Deterministic accumulated-intensity function mu(t)."""
@@ -87,7 +91,8 @@ class PowerMu(MuTransform):
 
     def inverse(self, m):
         arr = np.asarray(m, dtype=float)
-        out = (arr / self.c) ** (1.0 / self.b)
+        out = arr / self.c
+        out **= 1.0 / self.b
         return out if arr.ndim else float(out)
 
 
@@ -196,14 +201,20 @@ def sample_arrival_times(
 ) -> np.ndarray:
     """Matrix (paths, k) of first-k arrival times over many paths.
 
-    Block-vectorized over paths on the single stream supplied; one xi and
-    one exponential block are drawn per path row.
+    Vectorized over paths on the single stream supplied: all xi first, then
+    one row of k exponentials per path, in path-major order.  The
+    exponential block is summed and scaled in place, so working memory is
+    the output, the block and one xi per path: about 2x the output, plus
+    what mu.inverse needs.  Output is deterministic for fixed (stream
+    state, paths).
     """
     k = _integer(k, "number of arrivals k must be a positive integer")
     paths = _integer(paths, "number of paths must be a positive integer")
     xi = structure.sample(params, rng, size=paths)
-    s = np.cumsum(rng.exponential(size=(paths, k)), axis=1)
-    return np.asarray(mu.inverse(s / xi[:, None]), dtype=float)
+    s = rng.exponential(size=(paths, k))
+    np.cumsum(s, axis=1, out=s)
+    s /= xi[:, None]
+    return np.asarray(mu.inverse(s), dtype=float)
 
 
 def _check_times(times) -> np.ndarray:
@@ -227,15 +238,31 @@ def sample_grid_counts(
     """Counts N(t_j) for each path, as an integer matrix (paths, len(times)).
 
     Draws one xi per path on the single stream supplied, then independent
-    Poisson(xi (mu(t_j) - mu(t_{j-1}))) cell increments, and sums them
-    along the grid.  Working memory is a small multiple of the output.
-    Output is deterministic for fixed (stream state, paths).
+    Poisson(xi (mu(t_j) - mu(t_{j-1}))) cell increments in path-major
+    order, and sums them along the grid.  Paths are drawn in consecutive
+    blocks of _BLOCK_ROWS rows, written into the output and summed there in
+    place, so working memory is the output, one xi per path and two blocks:
+    about 1.4x the output at three grid times.  The draws do not depend on
+    the block size; output is deterministic for fixed (stream state, paths).
     """
     t_arr = _check_times(times)
     paths = _integer(paths, "number of paths must be a positive integer")
     widths = np.diff(np.asarray(mu(t_arr), dtype=float), prepend=0.0)
     xi = structure.sample(params, rng, size=paths)
-    return np.cumsum(rng.poisson(xi[:, None] * widths), axis=1)
+    counts = np.empty((paths, widths.size), dtype=np.int64)
+    rates = np.empty((min(paths, _BLOCK_ROWS), widths.size))
+    # column by column, so that numpy's inner loops run over the rows of a
+    # block and not over the few grid times of each row
+    for lo in range(0, paths, _BLOCK_ROWS):
+        block = counts[lo : lo + _BLOCK_ROWS]
+        cell_rates = rates[: len(block)]
+        block_xi = xi[lo : lo + _BLOCK_ROWS]
+        for j, width in enumerate(widths):
+            np.multiply(block_xi, width, out=cell_rates[:, j])
+        block[...] = rng.poisson(cell_rates)
+        for j in range(1, widths.size):
+            np.add(block[:, j], block[:, j - 1], out=block[:, j])
+    return counts
 
 
 def counts_on_grid(traj: Trajectory, times) -> np.ndarray:

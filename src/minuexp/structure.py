@@ -58,6 +58,22 @@ def _integer(value, message: str, lowest: int = 1) -> int:
     return int(value)
 
 
+def _scaled_rate(a: float, c: np.ndarray):
+    """z = a c as an array, and the mask where the product overflows (None if nowhere).
+
+    There z reads 1.0, a stand-in that keeps B(z)/z, C(z)/z and
+    (1 - e^(-z))/z finite; the caller overwrites those elements with the
+    limits 1, 1/(ac) and 1/(ac), which hold to double precision once ac
+    exceeds the largest double.
+    """
+    with np.errstate(over="ignore"):
+        z = np.asarray(a * c)
+    huge = np.isinf(z)
+    if not huge.any():
+        return z, None
+    return np.where(huge, 1.0, z), huge
+
+
 def _finish(arg: np.ndarray, out: np.ndarray):
     """Pointwise result: NaN wherever the argument was NaN, a float for 0-d."""
     out = np.where(np.isnan(arg), np.nan, out)
@@ -131,7 +147,8 @@ def lst(params: MinUExpParams, t):
     """Laplace-Stieltjes transform E e^(-t xi) for t >= 0; 0 at t = +inf.
 
     lambda/c + (t/c) (1 - e^(-ac))/(ac) with c = lambda + t: both factors of
-    the second term are at most 1, so large t does not overflow.
+    the second term are at most 1, so large t does not overflow.  Where ac
+    itself overflows, the second term is (t/c)/a/c.
     """
     a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
@@ -140,8 +157,11 @@ def lst(params: MinUExpParams, t):
     finite = arr < np.inf
     ti = np.where(finite, arr, 0.0)
     c = lam + ti
-    z = a * c
-    out = np.where(finite, lam / c + ti / c * (-np.expm1(-z) / z), 0.0)
+    z, huge = _scaled_rate(a, c)
+    body = lam / c + ti / c * (-np.expm1(-z) / z)
+    if huge is not None:
+        body = np.where(huge, lam / c + ti / c / a / c, body)
+    out = np.where(finite, body, 0.0)
     return _finish(arr, out)
 
 
@@ -153,5 +173,6 @@ def sample(params: MinUExpParams, rng: np.random.Generator, size=None):
     """
     u = rng.uniform(0.0, params.a, size=size)
     e = rng.exponential(scale=1.0 / params.lam, size=size)
-    out = np.minimum(u, e)
-    return float(out) if size is None else out
+    if size is None:
+        return float(np.minimum(u, e))
+    return np.minimum(u, e, out=u)

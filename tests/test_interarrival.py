@@ -191,6 +191,51 @@ class TestTauSampler:
         assert abs(res.value - FROZEN_LST_AT_1) <= 3.0 * res.err_estimate
 
 
+# (params, t) where a (lambda + t) overflows although t is finite
+OVERFLOWING_AC = [
+    (MinUExpParams(1e3, 1.0), (1e306, 1e307, 1.7e308)),
+    (MinUExpParams(1e300, 1.0), (1e9, 1e12, 1e100)),
+    (MinUExpParams(1e300, 1e-300), (1e9, 1e200)),
+]
+
+
+def _mp_tau_cdf(a, lam, t):
+    c = lam + t
+    return t / c - t / (a * c**2) * -mpmath.expm1(-a * c)
+
+
+def _mp_tau_pdf(a, lam, t):
+    c = lam + t
+    e = mpmath.exp(-a * c)
+    return lam / c**2 + (t - lam) / (a * c**3) * (1 - e) - t / c**2 * e
+
+
+def _mp_lst(a, lam, t):
+    c = lam + t
+    return lam / c + t / (a * c**2) * -mpmath.expm1(-a * c)
+
+
+@pytest.mark.parametrize(
+    "evaluator,reference",
+    [(tau_cdf, _mp_tau_cdf), (tau_pdf, _mp_tau_pdf), (lst, _mp_lst)],
+    ids=["tau_cdf", "tau_pdf", "lst"],
+)
+def test_finite_where_ac_overflows(evaluator, reference):
+    # these gave NaN (tau_cdf, tau_pdf) or dropped the 1/(ac) term (lst),
+    # with overflow and invalid-value RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, ts in OVERFLOWING_AC:
+            with mpmath.workdps(60):
+                a, lam = mpmath.mpf(params.a), mpmath.mpf(params.lam)
+                ref = [float(reference(a, lam, mpmath.mpf(t))) for t in ts]
+            # mixed with points where ac is finite, which keep their values
+            points = np.array([*ts, 1e-3 / params.a, 0.5])
+            values = evaluator(params, points)
+            assert rel_err(values[: len(ts)], ref) <= 1e-15
+            assert values.tolist() == [evaluator(params, t) for t in points.tolist()]
+
+
 class TestBivariate:
     def test_frozen_value(self):
         assert bivariate_pdf(P11, 1.0, 0.5) == pytest.approx(FROZEN_BIVARIATE_1_HALF, rel=1e-13)
@@ -230,6 +275,53 @@ class TestXiGivenTau:
             ref = bivariate_pdf(p, t, xs) / tau_pdf(p, t)
             assert np.max(np.abs(xi_given_tau_pdf(p, t, xs) / ref - 1.0)) < 1e-10
 
+    @pytest.mark.parametrize(
+        "params", CORNER_GRID + PARAM_GRID, ids=lambda p: f"a={p.a:g},lam={p.lam:g}"
+    )
+    def test_matches_mpmath_down_to_small_corners(self, params):
+        # x c^3 e^(-cx) (1 + lambda a - lambda x) / D(t) at 60 digits; in double
+        # arithmetic D(t) cancelled, to -8129.5 at (1e-6, 1e-6), t = 1e-3
+        ts = np.geomspace(1e-12, 1e6, 37)
+        xs = params.a * np.array([0.1, 0.4, 0.9])
+        with mpmath.workdps(60):
+            a, lam = mpmath.mpf(params.a), mpmath.mpf(params.lam)
+
+            def reference(t, x):
+                c = lam + t
+                e = mpmath.exp(-a * c)
+                denom = a * lam * c + (t - lam) * (1 - e) - a * t * c * e
+                return float(x * c**3 * mpmath.exp(-c * x) * (1 + lam * a - lam * x) / denom)
+
+            ref = np.array([[reference(mpmath.mpf(t), mpmath.mpf(x)) for x in xs.tolist()] for t in ts.tolist()])
+        got = np.array([xi_given_tau_pdf(params, t, xs) for t in ts.tolist()])
+        normal = ref >= np.finfo(float).tiny
+        assert normal.sum() >= 0.5 * ref.size
+        assert rel_err(got[normal], ref[normal]) <= 1e-12
+
+    @pytest.mark.parametrize("params", [P11, P110, CORNER_GRID[0]], ids=["P11", "P110", "corner"])
+    def test_large_t_where_the_marginal_underflows(self, params):
+        # tau_pdf is subnormal past t = 1.5e154 and 0 past about 1e162, while
+        # the posterior near x = 1/t is a normal double; dividing by tau_pdf
+        # itself lost 1e-5 relative at t = 1e160 and then divided by zero
+        ts = [1e100, 1e155, 1e160, 1e200, 1e300]
+        with mpmath.workdps(60):
+            a, lam = mpmath.mpf(params.a), mpmath.mpf(params.lam)
+
+            def reference(t):
+                c, x = lam + t, 1 / t
+                e = mpmath.exp(-a * c)
+                denom = a * lam * c + (t - lam) * (1 - e) - a * t * c * e
+                return float(x * c**3 * mpmath.exp(-c * x) * (1 + lam * a - lam * x) / denom)
+
+            ref = [reference(mpmath.mpf(t)) for t in ts]
+        got = [xi_given_tau_pdf(params, t, 1.0 / t) for t in ts]
+        assert rel_err(got, ref) <= 1e-14
+
+    def test_nonnegative_at_the_smallest_corner(self):
+        params = CORNER_GRID[0]
+        values = [xi_given_tau_pdf(params, t, 0.4 * params.a) for t in np.geomspace(1e-12, 1e6, 400).tolist()]
+        assert min(values) >= 0.0
+
     def test_outside_support_and_domain(self):
         assert xi_given_tau_pdf(P11, 1.0, 1.5) == 0.0
         assert xi_given_tau_pdf(P11, 1.0, -0.2) == 0.0
@@ -237,6 +329,8 @@ class TestXiGivenTau:
             xi_given_tau_pdf(P11, 0.0, 0.5)
         with pytest.raises(ValueError):
             xi_given_tau_pdf(P11, -1.0, 0.5)
+        with pytest.raises(ValueError):
+            xi_given_tau_pdf(P11, math.inf, 0.5)
 
 
 class TestRegressions:

@@ -34,6 +34,38 @@ from minuexp.rng import split_seed
 from conftest import KS_BOUND_1E5, P11, P110
 
 
+# a table transform wide enough for s / xi at every seed the tests use
+WIDE_TABLE = TableMu([(0.0, 0.0), (1.0, 2.0), (3.0, 3.0), (1e300, 1e300)])
+MU_KINDS = [LinearMu(2.0), PowerMu(1.3, 0.7), WIDE_TABLE]
+
+
+def _reference_xi(params, rng, paths):
+    """Mixing draws as structure.sample made them before it worked in place."""
+    u = rng.uniform(0.0, params.a, size=paths)
+    return np.minimum(u, rng.exponential(scale=1.0 / params.lam, size=paths))
+
+
+def _capped(k, paths):
+    """paths, or 10 001 (still three blocks, the last one partial) where
+    paths x k would pass two million cells, to keep the tests' memory small."""
+    return paths if k * paths <= 2_000_000 else 10_001
+
+
+def _working_memory(draw):
+    """Peak traced allocation of draw() over the bytes of its result, after
+    one untraced call has paid any first-call allocations."""
+    import tracemalloc
+
+    draw()
+    tracemalloc.start()
+    try:
+        out = draw()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / out.nbytes
+
+
 class TestMuTransforms:
     def test_linear(self):
         mu = LinearMu(2.0)
@@ -66,6 +98,14 @@ class TestMuTransforms:
             mu(4.0)
         with pytest.raises(ValueError):
             mu.inverse(3.5)
+
+    @pytest.mark.parametrize("mu", MU_KINDS, ids=lambda mu: type(mu).__name__)
+    def test_inverse_leaves_argument_unchanged(self, mu):
+        m = np.array([[0.5, 1.5], [2.5, 7.0]])
+        before = m.copy()
+        out = mu.inverse(m)
+        assert np.array_equal(m, before)
+        assert not np.shares_memory(out, m)
 
     def test_table_validation(self):
         with pytest.raises(ValueError):
@@ -170,6 +210,30 @@ class TestGridCounts:
             tracemalloc.stop()
         assert peak <= 4 * out.nbytes
 
+    @pytest.mark.parametrize("k", [1, 3, 40, 200])
+    @pytest.mark.parametrize("paths", [1, 4095, 4097, 100_001])
+    def test_draws_match_unblocked_reference(self, k, paths):
+        # the one-shot expression the blocked sampler replaced, on the same
+        # stream: xi for every path first, then the Poisson cells row by row
+        paths = _capped(k, paths)
+        times = np.linspace(0.05, 3.0, k)
+        mu = LinearMu(1.5)
+        got = sample_grid_counts(P11, mu, times, paths, make_stream(101 + k))
+        rng = make_stream(101 + k)
+        widths = np.diff(mu(times), prepend=0.0)
+        xi = _reference_xi(P11, rng, paths)
+        expected = np.cumsum(rng.poisson(xi[:, None] * widths), axis=1)
+        assert got.dtype == np.int64 and got.shape == (paths, k)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("k, paths", [(3, 100_000), (40, 20_000)])
+    def test_working_memory_near_output(self, k, paths):
+        times = np.linspace(0.1, 2.0, k)
+        ratio = _working_memory(
+            lambda: sample_grid_counts(P11, LinearMu(2.0), times, paths, make_stream(80))
+        )
+        assert ratio <= 1.6
+
     def test_time_change_equivalence(self):
         # counts at t = 0.5 under mu = 2t match counts at t = 1 under mu = t
         fast = sample_grid_counts(P11, LinearMu(2.0), [0.5], 100_000, make_stream(73))
@@ -217,6 +281,24 @@ class TestInterarrivals:
         gaps_hi = np.arange(1, t2.size + 1) / t2.size - cdf_vals
         gaps_lo = cdf_vals - np.arange(0, t2.size) / t2.size
         assert max(gaps_hi.max(), gaps_lo.max()) < KS_BOUND_1E5
+
+    @pytest.mark.parametrize("mu", MU_KINDS, ids=lambda mu: type(mu).__name__)
+    @pytest.mark.parametrize("k", [1, 3, 40, 200])
+    @pytest.mark.parametrize("paths", [1, 4095, 4097, 100_001])
+    def test_draws_match_unsummed_reference(self, mu, k, paths):
+        paths = _capped(k, paths)
+        got = sample_arrival_times(P110, mu, k, paths, make_stream(201 + k))
+        rng = make_stream(201 + k)
+        xi = _reference_xi(P110, rng, paths)
+        s = np.cumsum(rng.exponential(size=(paths, k)), axis=1)
+        expected = mu.inverse(s / xi[:, None])
+        assert got.shape == (paths, k)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("mu", MU_KINDS, ids=lambda mu: type(mu).__name__)
+    def test_working_memory_near_output(self, mu):
+        ratio = _working_memory(lambda: sample_arrival_times(P11, mu, 20, 10_000, make_stream(82)))
+        assert ratio <= 2.5
 
     def test_gaps_positive_and_match_diffs(self):
         traj = simulate(P11, LinearMu(1.0), 50.0, make_stream(85))
