@@ -34,7 +34,7 @@ from .estimation import (
     fit_mom_from_moments,
     ratio_G,
 )
-from .gamma_kernel import log_lower_incomplete_gamma, lower_incomplete_gamma
+from .gamma_kernel import log_lower_incomplete_gamma
 from .interarrival import (
     bivariate_pdf,
     erlang_moment,

@@ -78,7 +78,9 @@ def count_pmf(params: MinUExpParams, n):
     Vectorized over n; raises for negative n.
     """
     counts, scalar = _count_indices(n, "count index n")
-    log_pmf = log_mixing_kernel(params, counts, params.lam + 1.0) - np.array(
+    # a scalar n goes in as a 0-d order, so the kernel takes its scalar path
+    order = counts[0] if scalar else counts
+    log_pmf = log_mixing_kernel(params, order, params.lam + 1.0) - np.array(
         [math.lgamma(k + 1.0) for k in counts]
     )
     out = np.exp(log_pmf)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import structure
 from ._mixture import _stable_B, _stable_C, log_mixing_kernel, mixing_kernel
-from .structure import MinUExpParams, _finish, _integer, _scaled_rate
+from .structure import MinUExpParams, _finish, _integer, _scaled_rate, _where_c_overflows
 
 __all__ = [
     "tau_cdf",
@@ -42,19 +42,25 @@ def tau_cdf(params: MinUExpParams, t):
     0 for t <= 0 and 1 at t = +inf, where B(x) = x - 1 + e^(-x) is summed as
     a series for small x, so F keeps its relative precision when ac is
     small; the factor t/c keeps large t from overflowing, and where ac
-    overflows F is t/c.  Equals 1 minus the structure law's transform.
+    overflows F is t/c; where c does, F is the one at (2a, lambda/2, t/2).
+    Equals 1 minus the structure law's transform.
     """
     a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
     finite = (arr > 0.0) & (arr < np.inf)
     ti = np.where(finite, arr, 1.0)
-    c = lam + ti
-    ac, huge = _scaled_rate(a, c)
-    body = ti / c * (_stable_B(ac) / ac)
-    if huge is not None:
-        body = np.where(huge, ti / c, body)
-    out = np.where(finite, body, np.where(arr == np.inf, 1.0, 0.0))
+    out = np.where(finite, _tau_cdf_finite(a, lam, ti), np.where(arr == np.inf, 1.0, 0.0))
     return _finish(arr, out)
+
+
+def _tau_cdf_finite(a: float, lam: float, t: np.ndarray) -> np.ndarray:
+    """tau_cdf at finite t > 0."""
+    c, ac, huge = _scaled_rate(a, lam, t)
+    body = t / c * (_stable_B(ac) / ac)
+    if huge is not None:
+        body = np.where(huge, t / c, body)
+        body = _where_c_overflows(c, body, lambda: _tau_cdf_finite(2.0 * a, 0.5 * lam, 0.5 * t))
+    return body
 
 
 def tau_pdf(params: MinUExpParams, t):
@@ -67,24 +73,32 @@ def tau_pdf(params: MinUExpParams, t):
     nonnegative and free of cancellation, so the density keeps its relative
     precision (and its sign) at small a and lambda.  B/z and C/z are at most
     1, and dividing by c twice keeps large t from overflowing; where z
-    overflows they are 1 and 1/(ac).  0 for t <= 0 and at t = +inf.
+    overflows they are 1 and 1/(ac), and where c does, the density is half
+    the one at (2a, lambda/2, t/2).  0 for t <= 0 and at t = +inf.
     """
     arr = np.asarray(t, dtype=float)
     finite = (arr > 0.0) & (arr < np.inf)
     ti = np.where(finite, arr, 1.0)
-    c = params.lam + ti
-    out = np.where(finite, _tau_pdf_times_c2(params, ti, c) / c / c, 0.0)
+    out = np.where(finite, _tau_pdf_finite(params.a, params.lam, ti), 0.0)
     return _finish(arr, out)
 
 
-def _tau_pdf_times_c2(params: MinUExpParams, t, c):
-    """c^2 tau_pdf(t) = lambda B(z)/z + t C(z)/z at finite t > 0, c = lambda + t.
+def _tau_pdf_finite(a: float, lam: float, t: np.ndarray) -> np.ndarray:
+    """tau_pdf at finite t > 0."""
+    c, z, huge = _scaled_rate(a, lam, t)
+    body = _tau_pdf_times_c2(a, lam, t, c, z, huge) / c / c
+    if huge is not None:
+        body = _where_c_overflows(c, body, lambda: 0.5 * _tau_pdf_finite(2.0 * a, 0.5 * lam, 0.5 * t))
+    return body
+
+
+def _tau_pdf_times_c2(a: float, lam: float, t, c, z, huge):
+    """c^2 tau_pdf(t) = lambda B(z)/z + t C(z)/z at finite t > 0, given
+    c = lambda + t, z = ac and the overflow mask as _scaled_rate returns them.
 
     At most lambda + t/c, and about lambda + 1/a once t is large, so it is a
     normal double even where tau_pdf itself underflows (t past about 1e154).
     """
-    a, lam = params.a, params.lam
-    z, huge = _scaled_rate(a, c)
     b = _stable_B(z)
     body = lam * (b / z) + t * (_stable_C(z, b) / z)
     if huge is not None:
@@ -132,7 +146,8 @@ def bivariate_pdf(params: MinUExpParams, t, x):
 @functools.lru_cache(maxsize=64)
 def _marginal_times_c2(params: MinUExpParams, t: float) -> float:
     """c^2 tau_pdf(t), memoized: quadrature over x repeats (params, t)."""
-    return float(_tau_pdf_times_c2(params, np.asarray(t), np.asarray(params.lam + t)))
+    a, lam, t = params.a, params.lam, np.asarray(t)
+    return float(_tau_pdf_times_c2(a, lam, t, *_scaled_rate(a, lam, t)))
 
 
 def xi_given_tau_pdf(params: MinUExpParams, t: float, x):

@@ -58,20 +58,38 @@ def _integer(value, message: str, lowest: int = 1) -> int:
     return int(value)
 
 
-def _scaled_rate(a: float, c: np.ndarray):
-    """z = a c as an array, and the mask where the product overflows (None if nowhere).
+def _scaled_rate(a: float, lam: float, t: np.ndarray):
+    """c = lambda + t and z = a c as arrays, and the mask where z overflows
+    (None if nowhere).
 
     There z reads 1.0, a stand-in that keeps B(z)/z, C(z)/z and
     (1 - e^(-z))/z finite; the caller overwrites those elements with the
     limits 1, 1/(ac) and 1/(ac), which hold to double precision once ac
-    exceeds the largest double.
+    exceeds the largest double.  Where c itself overflows, z does too,
+    though ac may not: the caller mends those elements with
+    _where_c_overflows.
     """
     with np.errstate(over="ignore"):
+        c = lam + t
         z = np.asarray(a * c)
     huge = np.isinf(z)
     if not huge.any():
-        return z, None
-    return np.where(huge, 1.0, z), huge
+        return c, z, None
+    return c, np.where(huge, 1.0, z), huge
+
+
+def _where_c_overflows(c: np.ndarray, body: np.ndarray, halved) -> np.ndarray:
+    """body, but where c = lambda + t overflowed at finite t, halved().
+
+    halved() evaluates the same law at (2a, lambda/2, t/2): xi -> 2 xi maps
+    (a, lambda) to (2a, lambda/2), so transforms and waiting-time c.d.f.s
+    agree there and densities in t halve, and c/2 is finite.  A 2a past the
+    largest double reads inf, which drops only terms far below half an ulp
+    of the result.  Callers reach this only where z overflowed, which every
+    overflowing c makes it do, so other calls pay nothing.
+    """
+    wide = np.isinf(c)
+    return np.where(wide, halved(), body) if wide.any() else body
 
 
 def _finish(arg: np.ndarray, out: np.ndarray):
@@ -148,21 +166,26 @@ def lst(params: MinUExpParams, t):
 
     lambda/c + (t/c) (1 - e^(-ac))/(ac) with c = lambda + t: both factors of
     the second term are at most 1, so large t does not overflow.  Where ac
-    itself overflows, the second term is (t/c)/a/c.
+    itself overflows, the second term is (t/c)/a/c; where c does, the
+    value is the one at (2a, lambda/2, t/2).
     """
     a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValueError("transform argument t must be nonnegative")
     finite = arr < np.inf
-    ti = np.where(finite, arr, 0.0)
-    c = lam + ti
-    z, huge = _scaled_rate(a, c)
-    body = lam / c + ti / c * (-np.expm1(-z) / z)
-    if huge is not None:
-        body = np.where(huge, lam / c + ti / c / a / c, body)
-    out = np.where(finite, body, 0.0)
+    out = np.where(finite, _lst_finite(a, lam, np.where(finite, arr, 0.0)), 0.0)
     return _finish(arr, out)
+
+
+def _lst_finite(a: float, lam: float, t: np.ndarray) -> np.ndarray:
+    """lst at finite t >= 0."""
+    c, z, huge = _scaled_rate(a, lam, t)
+    body = lam / c + t / c * (-np.expm1(-z) / z)
+    if huge is not None:
+        body = np.where(huge, lam / c + t / c / a / c, body)
+        body = _where_c_overflows(c, body, lambda: _lst_finite(2.0 * a, 0.5 * lam, 0.5 * t))
+    return body
 
 
 def sample(params: MinUExpParams, rng: np.random.Generator, size=None):

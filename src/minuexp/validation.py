@@ -30,7 +30,7 @@ import numpy as np
 from scipy import integrate
 
 from . import counting, interarrival, structure
-from .gamma_kernel import lower_incomplete_gamma
+from .gamma_kernel import log_lower_incomplete_gamma
 from .oracle import mix_integral
 from .structure import MinUExpParams
 
@@ -93,7 +93,7 @@ def _erlang_pdf_low_power_variant(params: MinUExpParams, n: int, t: float) -> fl
     """
     a, lam = params.a, params.lam
     c = lam + t
-    g = lower_incomplete_gamma(n + 1, a * c)
+    g = math.exp(log_lower_incomplete_gamma(n + 1, a * c))
     first = t ** (n - 1) * g / (a * math.factorial(n - 1) * c ** (n - 1)) * (
         lam * a + (t - lam * n) / c
     )
@@ -116,7 +116,7 @@ def _ordered_pmf_unit_tail_variant(params: MinUExpParams, mu, k) -> float:
     )
     kn, mun = int(counts[-1]), float(grid[-1])
     c = lam + mun
-    bracket = lower_incomplete_gamma(kn + 1, a * c) / (a * c ** (kn + 2)) * (
+    bracket = math.exp(log_lower_incomplete_gamma(kn + 1, a * c)) / (a * c ** (kn + 2)) * (
         lam * a * c + mun - lam * kn
     ) + a * lam / c * math.exp(-a * c)
     return product * bracket
@@ -134,7 +134,7 @@ def _increments_pmf_misplaced_exponent_variant(params: MinUExpParams, mu, m) -> 
     )
     total, mun = int(np.sum(incs)), float(grid[-1])
     c = lam + mun
-    bracket = lower_incomplete_gamma(total + 1, a * c) / (a * c ** (total + 2)) * (
+    bracket = math.exp(log_lower_incomplete_gamma(total + 1, a * c)) / (a * c ** (total + 2)) * (
         lam * a * c + mun - lam * total
     ) + a * lam / c * math.exp(-a * (lam + float(incs[-1])))
     return product * bracket
@@ -150,10 +150,10 @@ def _posterior_mean_quadratic_coefficient_variant(
     """
     a, lam = params.a, params.lam
     c = lam + mu_t
-    num = lower_incomplete_gamma(n + 2, a * c) / c ** (n + 3) * (
+    num = math.exp(log_lower_incomplete_gamma(n + 2, a * c)) / c ** (n + 3) * (
         a * lam * c + mu_t - (n + 1) * n * lam
     ) + lam * a ** (n + 2) / c * math.exp(-a * c)
-    den = lower_incomplete_gamma(n + 1, a * c) / c ** (n + 2) * (
+    den = math.exp(log_lower_incomplete_gamma(n + 1, a * c)) / c ** (n + 2) * (
         a * lam * c + mu_t - n * lam
     ) + lam * a ** (n + 1) / c * math.exp(-a * c)
     return num / den

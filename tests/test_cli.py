@@ -342,9 +342,20 @@ _COLD_START_TABLE = {
     ),
     "fit-mom": ("minuexp.cli", ("fit", "--method", "mom", "--input", "draws.csv"), (), ("scipy",)),
     "fit-lsq": ("minuexp.cli", ("fit", "--method", "lsq", "--input", "draws.csv"), (), ("scipy",)),
+    # a (lambda + mu) <= 8: every kernel element is on the series route
     "eval-count-pmf": (
+        "minuexp.cli", ("eval", "--fn", "count-pmf", *_PARAMS, "--n", "0..3"), (), ("scipy",),
+    ),
+    "eval-posterior-mean": (
         "minuexp.cli",
-        ("eval", "--fn", "count-pmf", *_PARAMS, "--n", "0..3"),
+        ("eval", "--fn", "posterior-mean", *_PARAMS, "--mu-t", "4.9", "--n", "0..50"),
+        (),
+        ("scipy",),
+    ),
+    # a (lambda + 1) = 114.4: the kernel needs scipy.special, and only it
+    "eval-count-pmf-large-a": (
+        "minuexp.cli",
+        ("eval", "--fn", "count-pmf", "--a", "110", "--lambda", "0.04", "--n", "0..3"),
         ("scipy.special",),
         ("scipy.optimize",),
     ),

@@ -1,4 +1,5 @@
-"""Incomplete gamma layer: examples, identities, and extreme-argument paths."""
+"""Incomplete gamma layer: examples, identities, extreme-argument paths, and
+the fixed-length series route at x <= 8."""
 
 import math
 import warnings
@@ -8,10 +9,18 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from minuexp.gamma_kernel import log_lower_incomplete_gamma, lower_incomplete_gamma
+from minuexp import MinUExpParams, count_pmf, erlang_pdf, gamma_kernel, mean_xi_given_count
+from minuexp.gamma_kernel import log_lower_incomplete_gamma
 
 S_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
 X_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0]
+
+
+def lower_incomplete_gamma(s, x):
+    """gamma(s, x) itself, as the exponential of the log form."""
+    with np.errstate(over="ignore"):
+        out = np.exp(log_lower_incomplete_gamma(s, x))
+    return out if np.ndim(out) else float(out)
 
 
 def test_lower_gamma_shape_one_closed_form():
@@ -89,9 +98,11 @@ def test_domain_errors():
 
 
 def test_log_variant_matches_direct_in_ordinary_range():
+    # the direct gamma(s, x) of 40-digit mpmath, then its log
+    mpmath.mp.dps = 40
     for s in S_GRID:
         for x in (0.1, 1.0, 10.0, 100.0):
-            direct = math.log(lower_incomplete_gamma(s, x))
+            direct = math.log(float(mpmath.gammainc(s, 0, x)))
             assert log_lower_incomplete_gamma(s, x) == pytest.approx(direct, abs=1e-12)
 
 
@@ -145,3 +156,132 @@ def test_log_variant_series_matches_scalar_loop_exactly():
     assert got.tolist() == [_log_series_reference(a, b) for a, b in zip(s.tolist(), x.tolist())]
     for i in range(0, s.size, 97):
         assert log_lower_incomplete_gamma(float(s[i]), float(x[i])) == got[i]
+
+
+# --------------------------------------------------------------------------
+# The fixed-length series route, x <= 8
+
+SERIES_S = [1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0, 1e3, 1e4, 1e5]
+SERIES_X = [1e-300, 1e-100, 1e-10, 1e-3, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 7.999, 8.0]
+
+
+def test_series_route_against_mpmath():
+    # 1e-14 relative in log gamma, or absolute where |log gamma| < 1
+    mpmath.mp.dps = 60
+    for s in SERIES_S:
+        for x in SERIES_X:
+            ref = mpmath.log(mpmath.gammainc(mpmath.mpf(s), 0, mpmath.mpf(x)))
+            got = log_lower_incomplete_gamma(s, x)
+            assert abs(mpmath.mpf(got) - ref) <= 1e-14 * max(abs(ref), 1.0), (s, x)
+
+
+def test_forty_three_terms_is_the_shortest_safe_length():
+    # the tail left after the terms k < n, relative to the whole sum
+    # sum_k x^k/((s+1)...(s+k)), is largest at x = 8 as s -> 0, where the
+    # terms are 8^k/k! and the sum e^8; 43 terms leave less than 2^-56 of
+    # it, 42 do not
+    mpmath.mp.dps = 80
+
+    def tail_share(s, n, x=8):
+        terms, term, k = [], mpmath.mpf(1), 0
+        while k < 400:
+            terms.append(term)
+            k += 1
+            term = term * x / (s + k)
+        return mpmath.fsum(terms[n:]) / mpmath.fsum(terms)
+
+    bound = mpmath.mpf(2) ** -56
+    assert gamma_kernel._FIXED_TERMS == 43
+    assert tail_share(0, 43) < bound <= tail_share(0, 42)
+    shares = [tail_share(mpmath.mpf(s), 43) for s in (1e-9, 1e-3, 0.1, 1.0, 5.0, 50.0)]
+    assert all(b < a < bound for a, b in zip([tail_share(0, 43)] + shares, shares))
+    # and a smaller x needs no more terms
+    assert tail_share(0, 43, x=7.999) < tail_share(0, 43)
+
+
+def _full_length_sum(s, x):
+    # the definition: all 43 terms, c_k = c_(k-1)/(s+k), x^k = x^(k-1) x
+    c = power = total = 1.0
+    for k in range(1, 43):
+        c /= s + k
+        power *= x
+        total += c * power
+    return total
+
+
+def test_early_stop_keeps_every_bit_of_the_full_sum():
+    rng = np.random.default_rng(20261019)
+    s = np.concatenate([np.exp(rng.uniform(math.log(1e-8), math.log(1e6), 3000)), [1e-300, 5e-324]])
+    x = np.concatenate([rng.uniform(0.0, 8.0, 3000), [8.0, 8.0]])
+    x[::7] = np.exp(rng.uniform(math.log(1e-12), math.log(8.0), x[::7].size))
+    full = [_full_length_sum(a, b) for a, b in zip(s.tolist(), x.tolist())]
+    assert [gamma_kernel._fixed_sum(a, b)[0] for a, b in zip(s.tolist(), x.tolist())] == full
+    assert gamma_kernel._fixed_sums(s, x).tolist() == full
+    # a scalar order keeps its coefficients as floats; same bits
+    for order in (1e-6, 2.0, 21.0, 1e4):
+        ref = [_full_length_sum(order, b) for b in x.tolist()]
+        assert gamma_kernel._fixed_sums(np.asarray(order), x).tolist() == ref
+
+
+def test_log_zero_limit_is_minus_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_lower_incomplete_gamma(2.0, 0.0) == -math.inf
+        for size in (3, 100):
+            x = np.linspace(0.0, 12.0, size)
+            out = log_lower_incomplete_gamma(2.0, x)
+            assert out[0] == -math.inf and np.isfinite(out[1:]).all()
+        assert (log_lower_incomplete_gamma(np.linspace(0.5, 5.0, 50), 0.0) == -math.inf).all()
+
+
+def _assert_scalar_calls_equal(s, x):
+    got = np.broadcast_to(log_lower_incomplete_gamma(s, x), np.broadcast_shapes(np.shape(s), np.shape(x)))
+    for (a, b), value in zip(np.broadcast(s, x), got.ravel()):
+        assert log_lower_incomplete_gamma(float(a), float(b)) == value, (a, b)
+
+
+BOUNDARY = [np.nextafter(8.0, -np.inf), 8.0, np.nextafter(8.0, np.inf)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 16, 17, 33, 500])
+def test_scalar_calls_equal_array_calls_across_the_route(size):
+    rng = np.random.default_rng(size)
+    x = np.concatenate([BOUNDARY, rng.uniform(4.0, 12.0, size)])[:size]
+    s = np.exp(rng.uniform(math.log(1e-3), math.log(300.0), size))
+    _assert_scalar_calls_equal(s, x)  # array s, array x
+    _assert_scalar_calls_equal(2.5, x)  # scalar s, array x
+    for xv in BOUNDARY:
+        _assert_scalar_calls_equal(s, xv)  # array s, scalar x
+    # a mixed array equals its parts
+    small = x <= 8.0
+    both = log_lower_incomplete_gamma(s, x)
+    if small.any():
+        assert (log_lower_incomplete_gamma(s[small], x[small]) == both[small]).all()
+    if (~small).any():
+        assert (log_lower_incomplete_gamma(s[~small], x[~small]) == both[~small]).all()
+
+
+def test_broadcast_shapes_keep_one_value_per_point():
+    s = np.array([[0.5], [3.0], [40.0]])
+    x = np.array([0.0, 1.0, 7.5, 8.0, 9.0, 30.0] * 8)
+    out = log_lower_incomplete_gamma(s, x)
+    assert out.shape == (3, 48)
+    _assert_scalar_calls_equal(s, x)
+
+
+@pytest.mark.parametrize("a, lam", [(1.0, 1.0), (0.5, 0.25), (5.0, 0.25), (110.0, 0.04)])
+def test_evaluators_array_equals_scalars_across_the_route(a, lam):
+    p = MinUExpParams(a, lam)
+    counts = np.arange(0, 120)
+    pmf = count_pmf(p, counts)
+    assert pmf.tolist() == [count_pmf(p, int(n)) for n in counts]
+    # erlang_pdf puts a (lambda + t) on both sides of 8 within one array
+    t = np.concatenate([np.linspace(0.01, 3.0, 40), 8.0 / a - lam + np.array([-1e-9, 0.0, 1e-9])])
+    t = t[t > 0.0]
+    for n in (1, 2, 5, 20):
+        dens = erlang_pdf(p, n, t)
+        assert dens.tolist() == [erlang_pdf(p, n, float(v)) for v in t]
+    for mu_t in (0.25, 8.0 / a - lam, 8.0 / a - lam + 1e-9, 30.0):
+        if mu_t > 0.0:
+            means = mean_xi_given_count(p, mu_t, counts[:60])
+            assert means.tolist() == [mean_xi_given_count(p, mu_t, int(n)) for n in counts[:60]]

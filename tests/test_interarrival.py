@@ -236,6 +236,37 @@ def test_finite_where_ac_overflows(evaluator, reference):
             assert values.tolist() == [evaluator(params, t) for t in points.tolist()]
 
 
+# (params, t) where c = lambda + t itself overflows although t is finite
+OVERFLOWING_C = [
+    (MinUExpParams(1.0, 1e308), (1.5e308, 1e308, 1.7976931348623157e308)),
+    (MinUExpParams(1e-300, 1.7e308), (1e307, 1.7e308)),
+    (MinUExpParams(1e300, 9e307), (9e307, 1.5e308)),
+]
+
+
+@pytest.mark.parametrize(
+    "evaluator,reference",
+    [(tau_cdf, _mp_tau_cdf), (tau_pdf, _mp_tau_pdf), (lst, _mp_lst)],
+    ids=["tau_cdf", "tau_pdf", "lst"],
+)
+def test_finite_where_c_overflows(evaluator, reference):
+    # at (1, 1e308), t = 1.5e308 these gave 0.0 with an "overflow
+    # encountered in add" RuntimeWarning; the values are about 0.6, 1.6e-309
+    # (subnormal, so compared to an absolute 1e-322) and 0.4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, ts in OVERFLOWING_C:
+            with mpmath.workdps(60):
+                a, lam = mpmath.mpf(params.a), mpmath.mpf(params.lam)
+                ref = np.array([float(reference(a, lam, mpmath.mpf(t))) for t in ts])
+            points = np.array([*ts, 1e-3, 0.5, 1e300])
+            values = evaluator(params, points)
+            normal = np.abs(ref) >= 2.2250738585072014e-308
+            gap = np.abs(values[: len(ts)] - ref)
+            assert np.all(np.where(normal, gap / np.abs(ref) <= 1e-15, gap <= 1e-322))
+            assert values.tolist() == [evaluator(params, t) for t in points.tolist()]
+
+
 class TestBivariate:
     def test_frozen_value(self):
         assert bivariate_pdf(P11, 1.0, 0.5) == pytest.approx(FROZEN_BIVARIATE_1_HALF, rel=1e-13)
