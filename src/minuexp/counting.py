@@ -55,6 +55,15 @@ def _count_indices(n, name: str) -> tuple[np.ndarray, bool]:
     return counts, n_arr.ndim == 0
 
 
+def _plain_count(n) -> bool:
+    """Whether n is one integer count that the scalar entries take as it is.
+
+    Anything else, bad values included, goes through _count_indices, so
+    both kinds of call raise the same errors.
+    """
+    return isinstance(n, (int, np.integer)) and 0 <= n < 2**63
+
+
 def _check_mu_t(mu_t: float) -> None:
     if not (math.isfinite(mu_t) and mu_t > 0.0):
         raise ValueError("accumulated intensity mu_t must be positive")
@@ -75,13 +84,16 @@ def count_pmf(params: MinUExpParams, n):
     (1/n!) { gamma(n+1, ac) (lambda a c + 1 - n lambda) / (a c^(n+2))
              + lambda a^n e^(-ac) / c }
 
-    Vectorized over n; raises for negative n.
+    Vectorized over n; raises for negative n.  A scalar n takes the
+    kernel's scalar path, with the bits of the same n inside an array.
     """
+    if _plain_count(n):
+        log_pmf = log_mixing_kernel(params, n, params.lam + 1.0) - math.lgamma(n + 1.0)
+        return float(np.exp(log_pmf))
     counts, scalar = _count_indices(n, "count index n")
-    # a scalar n goes in as a 0-d order, so the kernel takes its scalar path
     order = counts[0] if scalar else counts
     log_pmf = log_mixing_kernel(params, order, params.lam + 1.0) - np.array(
-        [math.lgamma(k + 1.0) for k in counts]
+        [math.lgamma(k + 1.0) for k in counts.tolist()]
     )
     out = np.exp(log_pmf)
     return float(out[0]) if scalar else out
@@ -215,11 +227,15 @@ def mean_xi_given_count(params: MinUExpParams, mu_t: float, n):
     Ratio of the mixture integrals at orders n+1 and n; the coefficient in
     the expanded numerator is (n+1) lambda, linear in n (the quadratic
     variant overshoots the prior mean at n = 0 and fails the oracle).
-    Vectorized over n; a scalar n returns a float.
+    Vectorized over n; a scalar n returns a float, from the kernel's
+    scalar path with the bits of the same n inside an array.
     """
     _check_mu_t(mu_t)
+    c = params.lam + mu_t
+    if _plain_count(n):
+        return math.exp(log_mixing_kernel(params, n + 1, c) - log_mixing_kernel(params, n, c))
     counts, scalar = _count_indices(n, "count n")
-    log_j = log_mixing_kernel(params, np.stack([counts + 1, counts]), params.lam + mu_t)
+    log_j = log_mixing_kernel(params, np.stack([counts + 1, counts]), c)
     # math.exp per entry, as for scalars: np.exp differs from it in the last
     # bit on a few percent of arguments, and the CLI prints all 17 digits
     out = np.array([math.exp(d) for d in (log_j[0] - log_j[1]).tolist()])

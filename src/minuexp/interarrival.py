@@ -130,7 +130,9 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     (1/a) x e^(-(lambda+t)x) (1 + lambda a - lambda x),  t > 0, x in (0, a)
 
     i.e. the conditional Exp(x) density of tau times the mixing density.
-    Broadcasts t against x; NaN wherever either argument is NaN.
+    Broadcasts t against x; NaN wherever either argument is NaN.  Where
+    c = lambda + t overflows at finite t, the exponent c x is taken as
+    (c/2)(2x), its value at (2a, lambda/2, t/2) and 2x.
     """
     a, lam = params.a, params.lam
     t_arr = np.asarray(t, dtype=float)
@@ -138,15 +140,32 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     inside = (t_arr > 0.0) & (x_arr > 0.0) & (x_arr < a)
     ts = np.where(inside, t_arr, 1.0)
     xs = np.where(inside, x_arr, 0.5 * a)
-    body = xs / a * np.exp(-(lam + ts) * xs) * (1.0 + lam * a - xs * lam)
+    body = xs / a * np.exp(-_tilt_times_x(lam, t_arr, ts, xs)) * (1.0 + lam * a - xs * lam)
     out = np.where(np.isnan(t_arr) | np.isnan(x_arr), np.nan, np.where(inside, body, 0.0))
     return float(out) if out.ndim == 0 else out
 
 
+def _tilt_times_x(lam: float, t_arr: np.ndarray, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(lambda + t) x at the masked points ts, xs of bivariate_pdf.
+
+    Where lambda + t is finite at the largest t, the common case, one
+    Python addition settles that; otherwise overflowing elements are
+    mended by _where_c_overflows, with c/2 finite.  There a product
+    (c/2)(2x) that overflows stands for an exponent past the largest
+    double, whose exponential is 0 either way, so the overflow is silent.
+    """
+    top = float(t_arr) if t_arr.ndim == 0 else float(t_arr.max(initial=-math.inf))
+    if lam + top < math.inf:
+        return (lam + ts) * xs
+    with np.errstate(over="ignore"):
+        c = lam + ts
+        return _where_c_overflows(c, c * xs, lambda: (0.5 * lam + 0.5 * ts) * (2.0 * xs))
+
+
 @functools.lru_cache(maxsize=64)
-def _marginal_times_c2(params: MinUExpParams, t: float) -> float:
-    """c^2 tau_pdf(t), memoized: quadrature over x repeats (params, t)."""
-    a, lam, t = params.a, params.lam, np.asarray(t)
+def _marginal_times_c2(a: float, lam: float, t: float) -> float:
+    """c^2 tau_pdf(t), memoized: quadrature over x repeats (a, lambda, t)."""
+    t = np.asarray(t)
     return float(_tau_pdf_times_c2(a, lam, t, *_scaled_rate(a, lam, t)))
 
 
@@ -160,12 +179,19 @@ def xi_given_tau_pdf(params: MinUExpParams, t: float, x):
     computed once per (params, t), as c^2 tau_pdf(t) with c = lambda + t,
     and the quotient is multiplied by c twice: tau_pdf itself underflows
     for t past about 1e154, where the posterior is still a normal double.
+    Where c itself overflows, the density is twice the one at
+    (2a, lambda/2, t/2) and 2x, whose joint density equals bivariate_pdf
+    at (t, x) and whose c/2 is finite.
     """
     if not 0.0 < t < math.inf:
         raise ValueError("conditioning time t must be a finite positive real")
-    t = float(t)
-    c = params.lam + t
-    return bivariate_pdf(params, t, x) / _marginal_times_c2(params, t) * c * c
+    a, lam, t = params.a, params.lam, float(t)
+    c = lam + t
+    if c < math.inf:
+        return bivariate_pdf(params, t, x) / _marginal_times_c2(a, lam, t) * c * c
+    half_c = 0.5 * lam + 0.5 * t
+    marginal = _marginal_times_c2(2.0 * a, 0.5 * lam, 0.5 * t)
+    return 2.0 * bivariate_pdf(params, t, x) / marginal * half_c * half_c
 
 
 def mean_xi_given_tau(params: MinUExpParams, t):

@@ -352,10 +352,19 @@ _COLD_START_TABLE = {
         (),
         ("scipy",),
     ),
-    # a (lambda + 1) = 114.4: the kernel needs scipy.special, and only it
+    # a (lambda + 1) = 114.4 and orders 1..4: every element takes the finite
+    # Poisson sum
     "eval-count-pmf-large-a": (
         "minuexp.cli",
         ("eval", "--fn", "count-pmf", "--a", "110", "--lambda", "0.04", "--n", "0..3"),
+        (),
+        ("scipy",),
+    ),
+    # orders 151..154, past x and past the sum's cap: the kernel needs
+    # scipy.special, and only it
+    "eval-count-pmf-large-a-deep": (
+        "minuexp.cli",
+        ("eval", "--fn", "count-pmf", "--a", "110", "--lambda", "0.04", "--n", "150..153"),
         ("scipy.special",),
         ("scipy.optimize",),
     ),

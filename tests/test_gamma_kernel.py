@@ -1,5 +1,6 @@
-"""Incomplete gamma layer: examples, identities, extreme-argument paths, and
-the fixed-length series route at x <= 8."""
+"""Incomplete gamma layer: examples, identities, extreme-argument paths, the
+fixed-length series route at x <= 8 and the finite Poisson sum route for
+integer orders at x > 8."""
 
 import math
 import warnings
@@ -285,3 +286,134 @@ def test_evaluators_array_equals_scalars_across_the_route(a, lam):
         if mu_t > 0.0:
             means = mean_xi_given_count(p, mu_t, counts[:60])
             assert means.tolist() == [mean_xi_given_count(p, mu_t, int(n)) for n in counts[:60]]
+
+
+# --------------------------------------------------------------------------
+# The finite Poisson sum route: finite x > 8, integer s <= min(x, cap)
+
+CAP = gamma_kernel._SUM_MAX_ORDER
+POISSON_X = [8.0 + 2e-15, 8.5, 9.0, 10.0, 12.5, 20.0, 33.3, 50.0, 64.0, 100.0, 127.9, 128.0,
+             129.0, 150.0, 200.0, 300.0, 500.0, 700.0, 710.0, 745.0, 800.0, 1e3, 3e3, 1e4, 1e5, 1e6]
+
+
+def _poisson_points(s):
+    root = math.sqrt(s)
+    near = [float(s), float(np.nextafter(s, np.inf)), s + 0.5 * root, s + 2.0 * root]
+    return sorted({x for x in POISSON_X + near if x >= s and x > 8.0})
+
+
+def test_poisson_route_against_mpmath():
+    # 1e-14 relative in log gamma, or absolute where |log gamma| < 1, for
+    # every order the route takes, from x = max(s, 8) to 1e6
+    mpmath.mp.dps = 50
+    for s in range(1, CAP + 1):
+        xs = _poisson_points(s)
+        got = log_lower_incomplete_gamma(float(s), np.array(xs))
+        for x, value in zip(xs, got.tolist()):
+            ref = mpmath.log(mpmath.gammainc(s, 0, mpmath.mpf(x)))
+            assert abs(mpmath.mpf(value) - ref) <= 1e-14 * max(abs(ref), 1.0), (s, x)
+            assert log_lower_incomplete_gamma(float(s), x) == value, (s, x)
+
+
+def test_poisson_route_takes_exactly_its_elements():
+    # the route is the one that never imports scipy: compare with the
+    # regularized route, which the sum must differ from somewhere
+    s = np.array([1.0, 5.0, 21.0, CAP, CAP, CAP + 1.0, 21.0, np.nextafter(21.0, 22.0), 30.0, 2.5])
+    x = np.array([9.0, 9.0, 21.0, CAP, 1e4, 1e4, np.nextafter(21.0, 0.0), 40.0, 29.0, 40.0])
+    taken = gamma_kernel._poisson_mask(s, x, x <= 8.0)
+    assert taken.tolist() == [True] * 5 + [False] * 5
+    assert not gamma_kernel._poisson_mask(np.asarray(CAP + 1.0), x, x <= 8.0).any()
+    x3 = np.array([8.0, 9.0, np.inf])
+    assert gamma_kernel._poisson_mask(np.asarray(3.0), x3, x3 <= 8.0).tolist() == [False, True, False]
+
+
+def test_cap_is_the_docstring_bound():
+    # raising the cap means re-measuring the costs the module docstring
+    # gives, so the docstring must state the new cap and pass count
+    doc = " ".join(gamma_kernel.__doc__.split())
+    assert f"The cap is {CAP}:" in doc
+    assert f"integer s <= x and s <= {CAP}:" in doc
+    assert gamma_kernel._LGAMMA.size == CAP + 1
+    # x = s needs the most passes of any x >= s; an array pairing order CAP
+    # with a smaller x may need all CAP - 1
+    at_s = gamma_kernel._poisson_sum(float(CAP), float(CAP))[1] - 1
+    assert f"One call makes at most {CAP - 1} passes: {at_s} at x = s = {CAP}," in doc
+    assert gamma_kernel._poisson_sum(float(CAP), 9.0)[1] - 1 == CAP - 1
+
+
+def test_poisson_sum_stop_keeps_every_bit():
+    def full(s, x):
+        term = total = 1.0
+        for j in range(1, s):
+            term *= (s - j) / x
+            total += term
+        return total
+
+    for s in (1, 2, 9, 21, 64, CAP):
+        for x in (max(s, 8.5), 2.0 * s + 9.0, 50.0 * s, 1e6):
+            total, stop = gamma_kernel._poisson_sum(float(s), x)
+            assert total == full(s, x) and stop <= s
+
+
+def test_poisson_route_skips_exp_underflow_without_warning():
+    # E < -700: Q is exactly 0 and np.exp is not called there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_lower_incomplete_gamma(2.0, 1e5) == 0.0
+        assert log_lower_incomplete_gamma(1.0, 800.0) == 0.0
+        x = np.concatenate([np.geomspace(9.0, 1e6, 40), [np.inf]])
+        for s in (1.0, 2.0, 7.0, 110.0):
+            out = log_lower_incomplete_gamma(s, x)
+            assert np.isfinite(out).all()
+        out = log_lower_incomplete_gamma(np.arange(1.0, 41.0), np.full(40, 1e5))
+        assert out.tolist() == gamma_kernel._LGAMMA[1:41].tolist()
+        # count p.m.f.s at (110, 0.04) reach E of about -11 000
+        count_pmf(MinUExpParams(110.0, 0.04), np.arange(0, 200))
+
+
+ROUTE_S = [1.0, 2.0, 7.0, 8.0, 9.0, 21.0, np.nextafter(21.0, 22.0), np.nextafter(21.0, 0.0), 64.0,
+           CAP - 1.0, float(CAP), CAP + 1.0, np.nextafter(CAP, np.inf), 2.5]
+
+
+@pytest.mark.parametrize("size", [1, 5, 16, 17, 64])
+def test_scalar_calls_equal_array_calls_across_three_routes(size):
+    rng = np.random.default_rng(1000 + size)
+    special_x = [21.0, np.nextafter(21.0, 0.0), np.nextafter(21.0, 40.0), CAP, CAP + 1.0]
+    x = np.concatenate([BOUNDARY, special_x, rng.uniform(4.0, 200.0, size)])[:size]
+    for s in ROUTE_S:
+        _assert_scalar_calls_equal(s, x)  # scalar s, array x
+        _assert_scalar_calls_equal(np.nextafter(s, np.inf), x)
+        _assert_scalar_calls_equal(np.nextafter(s, -np.inf), x)
+    # array orders whose elements straddle all three routes
+    s = rng.choice(np.array(ROUTE_S + [3.0, 12.0, 40.0]), size)
+    _assert_scalar_calls_equal(s, x)
+    for xv in (np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 21.0, float(CAP), 1e5):
+        _assert_scalar_calls_equal(s, xv)  # array s, scalar x
+    # a three-route array equals its parts
+    both = log_lower_incomplete_gamma(s, x)
+    taken = gamma_kernel._poisson_mask(s, x, x <= 8.0)
+    for part in (x <= 8.0, taken, ~((x <= 8.0) | taken)):
+        if part.any():
+            assert (log_lower_incomplete_gamma(s[part], x[part]) == both[part]).all()
+
+
+def test_scalar_types_give_the_same_bits():
+    for s, x in ((3, 9.5), (21, 30.0), (200, 300.0), (2.5, 12.0), (5, 2.0)):
+        ref = log_lower_incomplete_gamma(np.array([s] * 20, dtype=float), np.full(20, x))[0]
+        kinds = [(s, x), (float(s), x), (np.float64(s), np.float64(x))]
+        kinds.append((np.asarray(float(s)), np.asarray(x)))
+        if float(s).is_integer():
+            kinds.append((np.int64(s), x))
+        for a, b in kinds:
+            value = log_lower_incomplete_gamma(a, b)
+            assert type(value) is float and value == ref
+
+
+def test_lgamma_table_is_within_an_ulp_of_log_factorial():
+    # the table, not math.lgamma: that misses log 2 at s = 3 by 3.2 ulps
+    mpmath.mp.dps = 50
+    exact = [float(mpmath.log(mpmath.factorial(k - 1))) for k in range(1, CAP + 1)]
+    table = gamma_kernel._LGAMMA[1:].tolist()
+    assert sum(a != b for a, b in zip(table, exact)) <= 3
+    assert all(abs(a - b) <= math.ulp(b) for a, b in zip(table, exact))
+    assert table[2] == math.log(2.0) != math.lgamma(3.0)

@@ -267,6 +267,49 @@ def test_finite_where_c_overflows(evaluator, reference):
             assert values.tolist() == [evaluator(params, t) for t in points.tolist()]
 
 
+def _mp_bivariate(a, lam, t, x):
+    return x / a * mpmath.exp(-(lam + t) * x) * (1 + lam * a - lam * x)
+
+
+def _mp_xi_given_tau(a, lam, t, x):
+    return _mp_bivariate(a, lam, t, x) / _mp_tau_pdf(a, lam, t)
+
+
+@pytest.mark.parametrize(
+    "evaluator,reference",
+    [(bivariate_pdf, _mp_bivariate), (xi_given_tau_pdf, _mp_xi_given_tau)],
+    ids=["bivariate_pdf", "xi_given_tau_pdf"],
+)
+def test_joint_and_posterior_finite_where_c_overflows(evaluator, reference):
+    # at (1, 1e308), t = 1.5e308 bivariate_pdf gave 0.0 at every x with an
+    # "overflow encountered in add" RuntimeWarning, and xi_given_tau_pdf
+    # gave NaN; x = k / c puts the exponent c x at k.  The third pair of
+    # OVERFLOWING_C is left out: its lambda a overflows too, which the
+    # factor 1 + lambda a - lambda x of the joint density does not survive
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, ts in OVERFLOWING_C[:2]:
+            for t in ts:
+                with mpmath.workdps(60):
+                    a, lam, tm = mpmath.mpf(params.a), mpmath.mpf(params.lam), mpmath.mpf(t)
+                    c = lam + tm
+                    xs = [float(k / c) for k in (0.01, 0.5, 2.0, 30.0)] + [0.5 * params.a]
+                    xs = [x for x in xs if 0.0 < x < params.a]
+                    ref = [reference(a, lam, tm, mpmath.mpf(x)) for x in xs]
+                    # where x/a e^(-c x) is subnormal it carries an absolute
+                    # error up to its ulp, 2^-1074, which the last factor scales
+                    slack = [
+                        2.0**-1074 * float(abs(r * a / (mpmath.mpf(x) * mpmath.exp(-c * mpmath.mpf(x)))))
+                        for r, x in zip(ref, xs)
+                    ]
+                ref = [float(r) for r in ref]
+                values = evaluator(params, t, np.array(xs))
+                assert values.tolist() == [evaluator(params, t, x) for x in xs]
+                for value, r, extra in zip(values.tolist(), ref, slack):
+                    assert abs(value - r) <= 1e-14 * abs(r) + extra, (params, t, value, r)
+                assert max(ref) > 0.0
+
+
 class TestBivariate:
     def test_frozen_value(self):
         assert bivariate_pdf(P11, 1.0, 0.5) == pytest.approx(FROZEN_BIVARIATE_1_HALF, rel=1e-13)

@@ -29,7 +29,7 @@ from minuexp import (
 )
 from minuexp._mixture import log_mixing_kernel, mixing_kernel
 
-from conftest import P11, P110, PARAM_GRID
+from conftest import CORNER_GRID, P11, P110, PARAM_GRID
 
 
 def _gamma_series(s, x):
@@ -232,3 +232,124 @@ def test_erlang_moment_at_large_event_index(n):
             got = erlang_moment(p, n, power)
             assert math.isfinite(got)
             assert got == pytest.approx(float(_erlang_moment_reference(p.a, p.lam, n, power)), rel=1e-10)
+
+
+# --------------------------------------------------------------------------
+# The scalar path: 0-d (s, c) on Python floats, with the array path's bits
+
+SCALAR_GRID = PARAM_GRID + CORNER_GRID + [P110]
+# integer orders on all three gamma routes, and real ones (the moments)
+SCALAR_ORDERS = [0, 1, 2, 3, 7, 8, 20, 21, 64, 113, 127, 128, 150, 400, -0.5, -0.999, 0.5, 2.5,
+                 float(np.nextafter(20.0, 21.0))]
+
+
+def _scalar_kinds(value):
+    """value as a Python float, a numpy float, a 0-d array, and as an int if it is one."""
+    kinds = [float(value), np.float64(value), np.asarray(float(value))]
+    if float(value).is_integer():
+        kinds += [int(value), np.int64(value)]
+    return kinds
+
+
+@pytest.mark.parametrize("params", SCALAR_GRID, ids=str)
+def test_kernel_scalar_path_equals_array_path(params):
+    # c = lambda + t puts a c on both sides of 8 and near each order
+    a, lam = params.a, params.lam
+    cs = np.concatenate([lam + np.geomspace(1e-3, 1e3, 14), np.array([8.0, 21.0, 128.0, 400.0]) / a])
+    cs = cs[(cs > 0.0) & (cs < np.inf)]
+    grid = log_mixing_kernel(params, np.array(SCALAR_ORDERS, dtype=float)[:, None], cs[None, :])
+    for i, s in enumerate(SCALAR_ORDERS):
+        # a scalar order against an array of c, as erlang_pdf calls it
+        assert log_mixing_kernel(params, s, cs).tolist() == grid[i].tolist(), s
+        for j, c in enumerate(cs.tolist()):
+            for s_k in _scalar_kinds(s):
+                value = log_mixing_kernel(params, s_k, c)
+                assert type(value) is float
+                assert value == grid[i, j] or (math.isnan(value) and math.isnan(grid[i, j])), (s_k, c)
+            assert log_mixing_kernel(params, float(s), np.asarray(c)) == grid[i, j]
+
+
+@pytest.mark.parametrize("params", SCALAR_GRID, ids=str)
+def test_count_laws_scalar_n_equal_array_n(params):
+    ns = np.arange(0, 161)
+    pmf = counting.count_pmf(params, ns)
+    for n in ns[::3].tolist() + [113, 127, 128]:
+        for n_k in (n, np.int64(n), float(n), np.asarray(n)):
+            value = counting.count_pmf(params, n_k)
+            assert type(value) is float and value == pmf[n], (n_k,)
+    for mu_t in (0.1, 8.0 / params.a, 30.0):
+        means = counting.mean_xi_given_count(params, mu_t, ns)
+        for n in ns[::4].tolist():
+            for n_k in (n, np.int64(n), float(n)):
+                assert counting.mean_xi_given_count(params, mu_t, n_k) == means[n], (mu_t, n_k)
+
+
+@pytest.mark.parametrize("params", SCALAR_GRID, ids=str)
+def test_kernel_evaluators_scalar_equal_array_kernel(params):
+    lam = params.lam
+    ks = np.arange(1, 130)
+    with np.errstate(over="ignore"):
+        for mu_t in (0.2, 3.0):
+            row = log_mixing_kernel(params, ks.astype(float), np.full(ks.size, lam))
+            for k in (1, 2, 7, 21, 64, 129):
+                ref = float(np.exp(k * math.log(mu_t) + row[k - 1]))
+                assert factorial_moment(params, mu_t, k) == ref, (mu_t, k)
+        powers = np.array([-0.9, -0.5, 0.0, 0.25, 0.5, 0.9])
+        row = log_mixing_kernel(params, -powers, np.full(powers.size, lam))
+        for n in (1, 2, 5):
+            for power, log_j in zip(powers.tolist(), row.tolist()):
+                ratio = math.lgamma(power + n) - math.lgamma(n)
+                assert erlang_moment(params, n, power) == float(np.exp(ratio + log_j)), (n, power)
+    grid, counts = np.array([0.5, 1.5, 4.0]), np.array([1, 3, 9])
+    bracket = log_mixing_kernel(params, np.full(20, 9.0), np.full(20, lam + 4.0))[0]
+    widths = np.diff(grid, prepend=0.0)
+    steps = np.diff(counts, prepend=0)
+    log_factorials = np.array([math.lgamma(s + 1.0) for s in steps])
+    log_product = float(np.sum(steps * np.log(widths) - log_factorials))
+    assert counting.ordered_pmf(params, grid, counts) == math.exp(log_product + bracket)
+
+
+@pytest.mark.parametrize("params", SCALAR_GRID, ids=str)
+def test_time_evaluators_at_0d_t_equal_array(params):
+    t = np.concatenate([np.geomspace(1e-3, 1e3, 30), np.array([8.0, 21.0]) / params.a - params.lam])
+    t = t[t > 0.0]
+    for n in (1, 2, 7, 20, 127, 128):
+        dens = interarrival.erlang_pdf(params, n, t)
+        for i, v in enumerate(t.tolist()):
+            for v_k in (v, np.float64(v), np.asarray(v)):
+                assert interarrival.erlang_pdf(params, n, v_k) == dens[i], (n, v_k)
+    means = interarrival.mean_xi_given_tau(params, t)
+    assert means.tolist() == [interarrival.mean_xi_given_tau(params, v) for v in t.tolist()]
+
+
+def _error_text(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -2.5])
+def test_kernel_scalar_path_raises_as_the_array_path_for_orders(bad):
+    expected = _error_text(lambda: log_mixing_kernel(P11, np.full(20, bad), 1.5))
+    assert expected == _error_text(lambda: log_mixing_kernel(P11, np.array([bad]), 1.5))
+    for bad_k in (bad, np.float64(bad), np.asarray(bad)):
+        assert _error_text(lambda: log_mixing_kernel(P11, bad_k, 1.5)) == expected
+    if bad.is_integer():
+        assert _error_text(lambda: log_mixing_kernel(P11, int(bad), 1.5)) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+def test_kernel_scalar_path_raises_as_the_array_path_for_tilts(bad):
+    expected = _error_text(lambda: log_mixing_kernel(P11, 2.0, np.full(20, bad)))
+    for bad_k in (bad, np.float64(bad), np.asarray(bad)):
+        assert _error_text(lambda: log_mixing_kernel(P11, 2, bad_k)) == expected
+
+
+@pytest.mark.parametrize(
+    "bad", [-1, -1.0, np.int64(-3), 2.5, np.float64(0.5), math.nan, math.inf, -math.inf, 2**64]
+)
+def test_count_laws_scalar_n_raise_as_the_array_path(bad):
+    pmf = _error_text(lambda: counting.count_pmf(P11, np.array([bad, 1.0])))
+    assert _error_text(lambda: counting.count_pmf(P11, bad)) == pmf
+    mean = _error_text(lambda: counting.mean_xi_given_count(P11, 2.0, np.array([bad, 1.0])))
+    assert _error_text(lambda: counting.mean_xi_given_count(P11, 2.0, bad)) == mean

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from minuexp import MinUExpParams, erlang_pdf, tau_cdf, tau_pdf
+from minuexp import MinUExpParams, erlang_pdf, mean_xi_given_count, tau_cdf, tau_pdf
 from minuexp._mixture import log_mixing_kernel
 
 
@@ -48,3 +48,15 @@ def test_waiting_time_cdf_is_monotone_in_unit_interval(params, ts):
     cdf = tau_cdf(params, np.sort(ts))
     assert ((cdf >= 0.0) & (cdf <= 1.0)).all()
     assert (np.diff(cdf) >= 0.0).all()
+
+
+@given(
+    params=params_st,
+    mu_t=_log_uniform(1e-6, 1e6),
+    ns=st.lists(st.integers(0, 2000), min_size=1, max_size=8),
+)
+def test_posterior_means_lie_inside_the_support(params, mu_t, ns):
+    # E(xi | N = n) in (0, a), for an array of counts and for each count alone
+    means = mean_xi_given_count(params, mu_t, np.array(ns))
+    assert ((means > 0.0) & (means < params.a)).all()
+    assert means.tolist() == [mean_xi_given_count(params, mu_t, n) for n in ns]
