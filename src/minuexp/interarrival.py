@@ -132,7 +132,8 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     i.e. the conditional Exp(x) density of tau times the mixing density.
     Broadcasts t against x; NaN wherever either argument is NaN.  Where
     c = lambda + t overflows at finite t, the exponent c x is taken as
-    (c/2)(2x), its value at (2a, lambda/2, t/2) and 2x.
+    (c/2)(2x), its value at (2a, lambda/2, t/2) and 2x.  Where lambda a
+    overflows, the last two factors are taken as lambda (1 - x/a) + 1/a.
     """
     a, lam = params.a, params.lam
     t_arr = np.asarray(t, dtype=float)
@@ -140,22 +141,29 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     inside = (t_arr > 0.0) & (x_arr > 0.0) & (x_arr < a)
     ts = np.where(inside, t_arr, 1.0)
     xs = np.where(inside, x_arr, 0.5 * a)
-    body = xs / a * np.exp(-_tilt_times_x(lam, t_arr, ts, xs)) * (1.0 + lam * a - xs * lam)
+    tilt = np.exp(-_tilt_times_x(a, lam, t_arr, ts, xs))
+    if lam * a < math.inf:
+        body = xs / a * tilt * (1.0 + lam * a - xs * lam)
+    else:
+        body = xs * tilt * (lam * (1.0 - xs / a) + 1.0 / a)
     out = np.where(np.isnan(t_arr) | np.isnan(x_arr), np.nan, np.where(inside, body, 0.0))
     return float(out) if out.ndim == 0 else out
 
 
-def _tilt_times_x(lam: float, t_arr: np.ndarray, ts: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _tilt_times_x(
+    a: float, lam: float, t_arr: np.ndarray, ts: np.ndarray, xs: np.ndarray
+) -> np.ndarray:
     """(lambda + t) x at the masked points ts, xs of bivariate_pdf.
 
-    Where lambda + t is finite at the largest t, the common case, one
-    Python addition settles that; otherwise overflowing elements are
-    mended by _where_c_overflows, with c/2 finite.  There a product
-    (c/2)(2x) that overflows stands for an exponent past the largest
-    double, whose exponential is 0 either way, so the overflow is silent.
+    Where (lambda + t) a is finite at the largest t, the common case, one
+    Python check settles that: no product overflows, as x < a.  Otherwise
+    overflowing elements of lambda + t are mended by _where_c_overflows,
+    with c/2 finite.  There a product c x or (c/2)(2x) that overflows
+    stands for an exponent past the largest double, whose exponential is 0
+    either way, so the overflow is silent.
     """
     top = float(t_arr) if t_arr.ndim == 0 else float(t_arr.max(initial=-math.inf))
-    if lam + top < math.inf:
+    if (lam + top) * a < math.inf:
         return (lam + ts) * xs
     with np.errstate(over="ignore"):
         c = lam + ts

@@ -110,12 +110,20 @@ def cdf(params: MinUExpParams, x):
 
 
 def pdf(params: MinUExpParams, x):
-    """Density (e^(-lambda x)/a)(lambda a + 1 - lambda x) on (0, a), else 0."""
+    """Density (e^(-lambda x)/a)(lambda a + 1 - lambda x) on (0, a), else 0.
+
+    Where lambda a overflows it is taken as e^(-lambda x)(lambda (1 - x/a)
+    + 1/a); there an overflowing lambda x stands for e^(-lambda x) = 0.
+    """
     a, lam = params.a, params.lam
     arr = np.asarray(x, dtype=float)
     inside = (arr > 0.0) & (arr < a)
     xi = np.where(inside, arr, 0.5 * a)
-    body = np.exp(-lam * xi) / a * (lam * a + 1.0 - xi * lam)
+    if lam * a < math.inf:
+        body = np.exp(-lam * xi) / a * (lam * a + 1.0 - xi * lam)
+    else:
+        with np.errstate(over="ignore"):
+            body = np.exp(-lam * xi) * (lam * (1.0 - xi / a) + 1.0 / a)
     out = np.where(inside, body, 0.0)
     return _finish(arr, out)
 

@@ -360,13 +360,29 @@ _COLD_START_TABLE = {
         (),
         ("scipy",),
     ),
-    # orders 151..154, past x and past the sum's cap: the kernel needs
-    # scipy.special, and only it
+    # orders 151..154, past x = 114.4 and past the sum's cap: every element
+    # takes the converged ascending series
     "eval-count-pmf-large-a-deep": (
         "minuexp.cli",
         ("eval", "--fn", "count-pmf", "--a", "110", "--lambda", "0.04", "--n", "150..153"),
+        (),
+        ("scipy",),
+    ),
+    # a (lambda + 1) = 208, past the series' cap on x, with orders 301..304
+    # past it: the kernel needs scipy.special, and only it
+    "eval-count-pmf-large-x": (
+        "minuexp.cli",
+        ("eval", "--fn", "count-pmf", "--a", "200", "--lambda", "0.04", "--n", "300..303"),
         ("scipy.special",),
         ("scipy.optimize",),
+    ),
+    # incomplete-gamma order 21 at a (lambda + t) from 1.01 to 101: every
+    # element takes one of the three scipy-free routes
+    "eval-erlang-pdf": (
+        "minuexp.cli",
+        ("eval", "--fn", "erlang-pdf", "--erlang-n", "20", *_PARAMS, "--grid", "0.01:100:0.01"),
+        (),
+        ("scipy",),
     ),
     "validate-quick": ("minuexp.cli", ("validate", "--quick"), ("scipy.integrate",), ()),
 }

@@ -1,9 +1,15 @@
 """Incomplete gamma layer: examples, identities, extreme-argument paths, the
-fixed-length series route at x <= 8 and the finite Poisson sum route for
-integer orders at x > 8."""
+fixed-length series route at x <= 8, the finite Poisson sum route for
+integer orders at x > 8 and the converged ascending series route for
+8 < x < s, x <= 128."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -371,28 +377,178 @@ def test_poisson_route_skips_exp_underflow_without_warning():
         count_pmf(MinUExpParams(110.0, 0.04), np.arange(0, 200))
 
 
+# --------------------------------------------------------------------------
+# The converged ascending series route: finite 8 < x < s, x <= cap
+
+X_CAP = gamma_kernel._ASCENDING_X_MAX
+ABOVE_8 = float(np.nextafter(8.0, np.inf))
+
+
+def _ascending_points(s):
+    top = min(s, X_CAP)
+    near = [ABOVE_8, 8.5, 10.0, 12.5, 20.0, 33.3, 50.0, 64.0, 100.0, 114.4, X_CAP,
+            float(np.nextafter(s, 0.0)), s - 0.5 * math.sqrt(s), s - 3.0 * math.sqrt(s)]
+    return sorted({x for x in near if 8.0 < x < s and x <= top})
+
+
+ASCENDING_S = [float(s) for s in range(9, 130)] + [150.0, 200.0, 300.0, 500.0, 1000.0, 2000.0, 3000.0]
+ASCENDING_S += [float(np.nextafter(ABOVE_8, 9.0)), 8.5, 9.3, 20.7, 64.25, 127.9, 128.5, 300.3, 2999.9]
+
+
+def test_ascending_route_against_mpmath():
+    # 1e-14 relative in log gamma, for integer and real orders from just
+    # above 8 to 3000, x from just above 8 to min(s, cap)
+    mpmath.mp.dps = 50
+    for s in ASCENDING_S:
+        xs = _ascending_points(s)
+        got = log_lower_incomplete_gamma(s, np.array(xs))
+        for x, value in zip(xs, got.tolist()):
+            ref = mpmath.log(mpmath.gammainc(mpmath.mpf(s), 0, mpmath.mpf(x)))
+            assert abs(mpmath.mpf(value) - ref) <= 1e-14 * max(abs(ref), 1.0), (s, x)
+
+
+def test_ascending_route_takes_exactly_its_elements():
+    below_cap, above_cap = X_CAP, float(np.nextafter(X_CAP, np.inf))
+    s = np.array([21.0, 21.0, 200.0, 21.5, 1e4, 21.0, 21.0, 200.0, 21.5, 200.0, 8.0])
+    x = np.array([ABOVE_8, np.nextafter(21.0, 0.0), below_cap, np.nextafter(21.5, 0.0), below_cap,
+                  8.0, 21.0, above_cap, 21.5, np.inf, 7.5])
+    taken = gamma_kernel._ascending_mask(s, x, x <= 8.0)
+    assert taken.tolist() == [True] * 5 + [False] * 6
+    got = log_lower_incomplete_gamma(s, x)
+    assert (got[taken] == gamma_kernel._log_ascending(s[taken], x[taken])).all()
+    # the elements past the cap or at s <= x and non-integer s go to scipy
+    rest = np.array([7, 8])
+    assert (got[rest] == gamma_kernel._log_regularized(s[rest], x[rest])).all()
+    # a scalar order
+    xs = np.array([8.0, ABOVE_8, below_cap, above_cap, np.inf])
+    taken = gamma_kernel._ascending_mask(np.asarray(200.0), xs, xs <= 8.0)
+    assert taken.tolist() == [False, True, True, False, False]
+    for order in (8.0, ABOVE_8, 5.0):
+        assert not gamma_kernel._ascending_mask(np.asarray(order), xs, xs <= 8.0).any()
+
+
+def test_ascending_cap_is_the_docstring_bound():
+    # raising the cap means re-measuring the costs the module docstring
+    # gives, so the docstring must state the new cap and pass count
+    doc = " ".join(gamma_kernel.__doc__.split())
+    assert f"finite 8 < x < s and x <= {X_CAP:g}, any real s:" in doc
+    assert f"The cap is {X_CAP:g}, the cap of the finite Poisson sum" in doc
+    assert X_CAP == CAP
+    # passes grow with x and fall with s: an array whose smallest order is
+    # just above 8 and whose largest x is the cap needs the most
+    total, worst = gamma_kernel._ascending_sum(ABOVE_8, X_CAP)
+    assert f"one call makes at most {worst} passes." in doc
+    assert math.isfinite(total)
+    grid_s = np.geomspace(ABOVE_8, 3000.0, 30).tolist()
+    grid_x = np.linspace(ABOVE_8, X_CAP, 30).tolist()
+    assert max(gamma_kernel._ascending_sum(a, b)[1] for a in grid_s for b in grid_x) == worst
+    for (s, x), words in {
+        (float(np.nextafter(ABOVE_8, 9.0)), ABOVE_8): "{} passes at s -> x -> 8",
+        (21.0, 20.99): "{} at (21, 20.99)",
+        (115.0, 114.4): "{} at (115, 114.4)",
+    }.items():
+        assert words.format(gamma_kernel._ascending_sum(s, x)[1]) in doc
+    # a single element needs at most the docstring's count, near x = s = cap
+    single = [gamma_kernel._ascending_sum(float(np.nextafter(b, np.inf)), b)[1]
+              for b in np.linspace(ABOVE_8, X_CAP, 2000).tolist()]
+    assert f"and up to {max(single)} where s is just above an x near {X_CAP:g}" in doc
+
+
+def _ascending_full(s, x, passes=3000):
+    # the definition, run far past every element's convergence
+    term = total = 1.0
+    for k in range(1, passes):
+        term *= x / (s + k)
+        total += term
+    return total
+
+
+def test_ascending_stop_keeps_every_bit():
+    worst = gamma_kernel._ascending_sum(ABOVE_8, X_CAP)[1]
+    for s in (ABOVE_8 + 1e-9, 9.0, 21.0, 64.5, 115.0, 129.0, 1e4):
+        for x in (ABOVE_8, 0.5 * (8.0 + min(s, X_CAP)), float(np.nextafter(min(s, X_CAP), 0.0))):
+            total, passes = gamma_kernel._ascending_sum(s, x)
+            assert total == _ascending_full(s, x) and passes <= worst, (s, x)
+    # one array call runs the passes of its smallest s at its largest x,
+    # and each element keeps the bits of its own full sum
+    rng = np.random.default_rng(20261020)
+    s = np.exp(rng.uniform(math.log(8.01), math.log(3000.0), 300))
+    x = 8.0 + (np.minimum(s, X_CAP) - 8.0) * rng.uniform(1e-9, 1.0, s.size)
+    x = np.where(x < s, x, np.nextafter(s, 0.0))
+    pairs = list(zip(s.tolist(), x.tolist())) + [(21.0, b) for b in x[x < 21.0].tolist()]
+    ref = [gamma_kernel._log_from_sum(a, b, _ascending_full(a, b)) for a, b in pairs]
+    got = gamma_kernel._log_ascending(s, x).tolist()
+    got += gamma_kernel._log_ascending(np.asarray(21.0), x[x < 21.0]).tolist()
+    assert got == ref
+
+
+_CLOSED_FORMS_SCIPY = """
+import json, sys
+import numpy as np
+import minuexp as mx
+grid = [(a, lam) for a in (0.5, 1.0, 2.0, 5.0) for lam in (0.25, 1.0, 4.0)] + [(110.0, 0.04)]
+t = np.geomspace(1e-2, 1e2, 300)
+x = np.linspace(0.0, 1.0, 300)
+for a, lam in grid:
+    p = mx.MinUExpParams(a, lam)
+    mx.count_pmf(p, np.arange(2001))
+    for n in range(1, 21):
+        mx.erlang_pdf(p, n, t)
+    for fn in (mx.cdf, mx.pdf, mx.hazard):
+        fn(p, a * x)
+    for fn in (mx.lst, mx.tau_pdf, mx.tau_cdf):
+        fn(p, t)
+    for n in range(0, 150):
+        mx.count_pmf(p, n)
+    for mu in np.geomspace(0.1, 10.0, 7).tolist():
+        mx.mean_xi_given_count(p, mu, np.arange(100))
+        for n in range(0, 100, 9):
+            mx.mean_xi_given_count(p, mu, n)
+print(json.dumps([m for m in sys.modules if m.startswith("scipy")]))
+"""
+
+
+def test_closed_forms_load_no_scipy():
+    # every incomplete-gamma element of these evaluators has an integer
+    # order or x <= 128, so none reaches scipy's gammainc; a fresh
+    # interpreter, since this process has imported scipy long ago
+    env = dict(os.environ)
+    package_root = str(Path(gamma_kernel.__file__).resolve().parents[1])
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _CLOSED_FORMS_SCIPY],
+        capture_output=True, env=env, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
 ROUTE_S = [1.0, 2.0, 7.0, 8.0, 9.0, 21.0, np.nextafter(21.0, 22.0), np.nextafter(21.0, 0.0), 64.0,
-           CAP - 1.0, float(CAP), CAP + 1.0, np.nextafter(CAP, np.inf), 2.5]
+           CAP - 1.0, float(CAP), CAP + 1.0, np.nextafter(CAP, np.inf), 2.5, 150.5, 300.0]
 
 
 @pytest.mark.parametrize("size", [1, 5, 16, 17, 64])
-def test_scalar_calls_equal_array_calls_across_three_routes(size):
+def test_scalar_calls_equal_array_calls_across_four_routes(size):
     rng = np.random.default_rng(1000 + size)
-    special_x = [21.0, np.nextafter(21.0, 0.0), np.nextafter(21.0, 40.0), CAP, CAP + 1.0]
+    special_x = [21.0, np.nextafter(21.0, 0.0), np.nextafter(21.0, 40.0), CAP, CAP + 1.0,
+                 np.nextafter(X_CAP, np.inf), 150.5, np.inf]
     x = np.concatenate([BOUNDARY, special_x, rng.uniform(4.0, 200.0, size)])[:size]
     for s in ROUTE_S:
         _assert_scalar_calls_equal(s, x)  # scalar s, array x
         _assert_scalar_calls_equal(np.nextafter(s, np.inf), x)
         _assert_scalar_calls_equal(np.nextafter(s, -np.inf), x)
-    # array orders whose elements straddle all three routes
+    # array orders whose elements straddle all four routes
     s = rng.choice(np.array(ROUTE_S + [3.0, 12.0, 40.0]), size)
     _assert_scalar_calls_equal(s, x)
-    for xv in (np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 21.0, float(CAP), 1e5):
+    for xv in (np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 21.0, float(CAP), X_CAP + 1.0, 1e5):
         _assert_scalar_calls_equal(s, xv)  # array s, scalar x
-    # a three-route array equals its parts
+    # a four-route array equals its parts
     both = log_lower_incomplete_gamma(s, x)
-    taken = gamma_kernel._poisson_mask(s, x, x <= 8.0)
-    for part in (x <= 8.0, taken, ~((x <= 8.0) | taken)):
+    small = x <= 8.0
+    poisson = gamma_kernel._poisson_mask(s, x, small)
+    ascending = gamma_kernel._ascending_mask(s, x, small)
+    for part in (small, poisson, ascending, ~(small | poisson | ascending)):
         if part.any():
             assert (log_lower_incomplete_gamma(s[part], x[part]) == both[part]).all()
 

@@ -283,12 +283,15 @@ def _mp_xi_given_tau(a, lam, t, x):
 def test_joint_and_posterior_finite_where_c_overflows(evaluator, reference):
     # at (1, 1e308), t = 1.5e308 bivariate_pdf gave 0.0 at every x with an
     # "overflow encountered in add" RuntimeWarning, and xi_given_tau_pdf
-    # gave NaN; x = k / c puts the exponent c x at k.  The third pair of
-    # OVERFLOWING_C is left out: its lambda a overflows too, which the
-    # factor 1 + lambda a - lambda x of the joint density does not survive
+    # gave NaN; x = k / c puts the exponent c x at k.  At the third pair
+    # lambda a overflows too, where both gave NaN from the factor
+    # 1 + lambda a - lambda x; t = 1e10 keeps c finite there
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for params, ts in OVERFLOWING_C[:2]:
+        for params, ts in OVERFLOWING_C[:2] + [(OVERFLOWING_C[2][0], (1e10, *OVERFLOWING_C[2][1]))]:
+            # the last factor: 1 + lambda a - lambda x, or that over a where
+            # lambda a overflows
+            over_a = params.lam * params.a == math.inf
             for t in ts:
                 with mpmath.workdps(60):
                     a, lam, tm = mpmath.mpf(params.a), mpmath.mpf(params.lam), mpmath.mpf(t)
@@ -296,10 +299,12 @@ def test_joint_and_posterior_finite_where_c_overflows(evaluator, reference):
                     xs = [float(k / c) for k in (0.01, 0.5, 2.0, 30.0)] + [0.5 * params.a]
                     xs = [x for x in xs if 0.0 < x < params.a]
                     ref = [reference(a, lam, tm, mpmath.mpf(x)) for x in xs]
-                    # where x/a e^(-c x) is subnormal it carries an absolute
-                    # error up to its ulp, 2^-1074, which the last factor scales
+                    # where the product before the last factor (x/a e^(-c x),
+                    # or x e^(-c x)) is subnormal it carries an absolute error
+                    # up to its ulp, 2^-1074, which the last factor scales
                     slack = [
-                        2.0**-1074 * float(abs(r * a / (mpmath.mpf(x) * mpmath.exp(-c * mpmath.mpf(x)))))
+                        2.0**-1074
+                        * float(abs(r * (1 if over_a else a) / (mpmath.mpf(x) * mpmath.exp(-c * mpmath.mpf(x)))))
                         for r, x in zip(ref, xs)
                     ]
                 ref = [float(r) for r in ref]

@@ -1,7 +1,9 @@
 """Structure law: closed forms vs oracle, sampler correctness, invariants."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,24 @@ class TestPdf:
     def test_limit_at_zero(self):
         for p in PARAM_GRID:
             assert pdf(p, 1e-12) == pytest.approx(p.lam + 1.0 / p.a, rel=1e-9)
+
+    @pytest.mark.parametrize("a, lam", [(1e300, 9e307), (1e10, 1e300), (2.0, 1.7976931348623157e308)])
+    def test_finite_where_lambda_a_overflows(self, a, lam):
+        # at (1e300, 9e307) this gave [inf, nan] at [1e-308, 1e-300]: the
+        # factor lambda a + 1 - lambda x was inf
+        p = MinUExpParams(a, lam)
+        xs = [x for x in (5e-324, 1e-308, 5e-308, 1e-300, 1e-10, 0.5 * a) if x < a]
+        with mpmath.workdps(60):
+            am, lm = mpmath.mpf(a), mpmath.mpf(lam)
+            ref = [float(mpmath.exp(-lm * x) / am * (lm * am + 1 - lm * x)) for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = pdf(p, np.array(xs))
+            assert values.tolist() == [pdf(p, x) for x in xs]
+        normal = np.abs(ref) >= 2.2250738585072014e-308
+        gap = np.abs(values - ref)
+        assert np.all(np.where(normal, gap <= 1e-15 * np.abs(ref), gap <= 1e-322)), (values, ref)
+        assert max(ref) > 0.3 * lam
 
     def test_normalization_quadrature(self):
         for p in PARAM_GRID:

@@ -8,6 +8,10 @@ log-uniformly from [1e-6, 1e3], orders up to 2000 and times from 1e-6 to
 import math
 
 import numpy as np
+
+# loaded here, not inside the first example that reaches the kernel's
+# scipy route, whose import time would count against Hypothesis's deadline
+import scipy.special  # noqa: F401
 from hypothesis import given
 from hypothesis import strategies as st
 
