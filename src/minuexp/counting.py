@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from ._mixture import log_mixing_kernel
-from .structure import MinUExpParams, _finish, _integer, lst, variance
+from .structure import MinUExpParams, _finish, _integer, lst, scale, variance
 
 __all__ = [
     "count_pmf",
@@ -102,7 +102,7 @@ def count_pmf(params: MinUExpParams, n):
 def scaled_count_params(params: MinUExpParams, mu_t: float) -> MinUExpParams:
     """Count-law parameters at accumulated intensity mu_t: (a mu_t, lambda/mu_t)."""
     _check_mu_t(mu_t)
-    return MinUExpParams(params.a * mu_t, params.lam / mu_t)
+    return scale(params, mu_t)
 
 
 def pgf(params: MinUExpParams, mu_t: float, z):

@@ -66,41 +66,41 @@ gamma algebra.  Each element takes one of four routes, chosen by its own
   only where an array of orders pairs order 128 with an x far below it.
 * finite 8 < x < s and x <= 128, any real s: the ascending series of
   the first route run to convergence, term t_k = t_(k-1) x/(s+k) from
-  t_0 = 1, summed in order in passes of term *= x/(s+k), total += term:
-  the recurrence of the underflow fallback below, whose bits it keeps.
-  Every ratio x/(s+k) is below 1 where x < s, so the rounded terms fall;
-  once one is below 2^-54 every later one is too, and the sum stops,
-  which changes no bit.  An array runs the passes that its smallest s
-  needs at its largest x, whose terms may rise first, while x/(s+k) is
-  above 1, and stop only past their peak: every rounded term grows with
-  x and falls with s, so each element's own terms are absorbed by then
-  and it keeps the bits of its own sum.  No scipy.
+  t_0 = 1, summed in order in passes of term *= x/(s+k), total += term.
+  Every ratio x/(s+k) is below 1 where x < s, so the rounded terms fall
+  from 1; once one is below 2^-54 every later one is too, and the sum
+  stops, which changes no bit.  An array runs the same passes on all its
+  elements and checks its terms every 8 passes, until each element's own
+  last term is below 2^-54: the terms an element adds past its own stop
+  leave its sum as it is, so it keeps the bits of its own sum.  No scipy.
 
-  The cap on x bounds the loop.  One element needs 35 passes at
-  s -> x -> 8, 51 at (21, 20.99), 104 at (115, 114.4) and up to 110
-  where s is just above an x near 128.  An array that pairs an order
-  just above 8 with an x of 128 needs the most, as its terms rise to
-  about 8e41 before they fall: one call makes at most 346 passes.  The
-  passes grow with the cap, and past x of about 755 that peak would
-  overflow.  On 10^4 elements (2-vCPU x86-64 host, best of 9 timeit
-  repeats, ranges over three runs on a noisy host) the series took
-  0.8-1.2 ms against 2.1-3.8 ms for scipy's gammainc with gammaln at
-  s = 21 and x in (8, 21), the band of the arrival-epoch densities;
-  2.0-2.9 against 4.6-8.9 ms for orders 115..2001 at x = 114.4; and
-  10.8-15.0 against 6.1-10.5 ms for a made-up worst mix of s in
-  (8, 2000) with x in (8, min(s, 128)), where every element pays the
-  346 passes.  Element by element it takes 3.4-15 us against 1.2-3 us
-  for gammainc, 3 to 5 times as long.  The cap is 128, the cap of the
-  finite Poisson sum: no integer order at x <= 128 loads scipy, and
-  count p.m.f.s at (110, 0.04) take every order past 114 by this
+  One element needs 35 passes at s -> x -> 8, 51 at (21, 20.99), 104 at
+  (115, 114.4) and up to 110 where s is just above an x near 128, so one
+  call makes at most 112 passes: the 110, rounded up to the next check.
+  No term exceeds 1, whatever x, so the cap on x stands only for cost
+  against gammainc.  On 10^4 elements (2-vCPU x86-64 host, best of 9
+  timeit repeats, ranges over three runs on a noisy host) the series
+  took 0.9-1.2 ms against 2.1-3.1 ms for the fourth route at s = 21 and
+  x in (8, 21), the band of the arrival-epoch densities, and 2.1-2.8
+  against 1.9-2.6 ms for a made-up mix of s in (8, 2000) with x in
+  (8, min(s, 128)).  On orders 115..2001 at x = 114.4 it took 0.6-1.0
+  against 0.3-0.5 ms: gammainc underflows at most of those orders, and
+  there the fourth route sums this series in a few passes, while here
+  every order runs the 104 passes of order 115.  Element by element it
+  takes 3.3-7.6 us against 1.3 us for gammainc.  The cap is 128, the cap
+  of the finite Poisson sum: no integer order at x <= 128 loads scipy,
+  and count p.m.f.s at (110, 0.04) take every order past 114 by this
   series.
 * otherwise (non-integer s <= x, such as the moments' orders at large
   x, x > 128 or x = inf): the regularized scipy.special.gammainc, times
-  Gamma(s) through gammaln of the order as given (never its broadcast);
-  where the regularized function underflows (x much smaller than s, as
-  in count p.m.f.s with large totals) an ascending series summed in log
-  space until it converges, vectorized in blocks.  Calls of a few
-  elements take the same ufuncs one element at a time.
+  Gamma(s) through gammaln of the order as given (never its broadcast).
+  Where the regularized function underflows (x much smaller than s, as
+  in count p.m.f.s with large totals) the elements take the series of
+  the third route, at any x.  At large s, near that underflow, the series
+  is long: an element whose term 10 000 is not yet below 2^-54 is NaN,
+  with one RuntimeWarning, since the sum so far is not the answer (at
+  s = 1e10 and x = s - 38 sqrt(s) it leaves gamma 2.2 % low).  Calls of
+  a few elements take the same ufuncs one element at a time.
 
 scipy.special is imported only when some element takes the fourth route:
 importing it takes about 0.26 s, more than half the wall time of a short
@@ -113,6 +113,7 @@ dictionary lookup.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -144,19 +145,22 @@ _LGAMMA = np.array(
 _EXP_FLOOR = -700.0
 
 # Elements with 8 < x < s and x at most this take the converged ascending
-# series (see the module docstring for the passes this bounds).
+# series (see the module docstring for the cost this bounds).
 _ASCENDING_X_MAX = 128.0
 
 # Below this the regularized lower gamma is too close to the underflow
 # threshold to take a log of safely.
 _REGULARIZED_FLOOR = 1e-290
 
-# The converged series adds terms until one falls below _SERIES_TOL of
-# the running sum, or until the term index passes _SERIES_CAP, converged
-# or not.  One pass adds at most _SERIES_MAX_WIDTH terms to each element.
-_SERIES_TOL = 1e-18
+# The converged series gives up, with NaN, on an element whose term
+# _SERIES_CAP is still not absorbed; an array checks its terms once every
+# _CHECK_PASSES passes, which divides the cap.
 _SERIES_CAP = 10_000
-_SERIES_MAX_WIDTH = 512
+_CHECK_PASSES = 8
+# The term indices k = 1.._SERIES_CAP as Python floats: a float k spares an
+# int-to-float conversion per pass, and s + k is the same sum either way.
+_TERM_INDEX = np.arange(1.0, _SERIES_CAP + 1.0).tolist()
+_CAP_WARNING = f"incomplete gamma series did not converge in {_SERIES_CAP} terms; returning NaN"
 
 
 _S_DOMAIN = "shape argument s must be a finite positive real"
@@ -283,101 +287,57 @@ def _log_poisson_one(s: float, x: float):
 
 def _ascending_sum(s: float, x: float) -> tuple[float, int]:
     """The ascending series sum 1 + sum_(k>=1) prod_(i<=k) x/(s+i) at one
-    element in Python floats, and the index of the last term it had to add.
+    element in Python floats, and the index of the last term it added.
 
-    Term k is term_(k-1) x/(s+k), the recurrence of _log_series.  The
+    Term k is term_(k-1) x/(s+k), the recurrence of _log_ascending.  The
     rounded ratios fall with k, so the terms rise from 1 while the ratios
     are at least 1 and fall once they are below it: a term below
     _ABSORBED comes after that peak, every later term is below it too,
     and stopping there gives the bits of the series run to any length.
+    A sum whose term _SERIES_CAP is not yet below _ABSORBED is NaN, with
+    a RuntimeWarning.
     """
     term = total = 1.0
-    # k is a float, which spares an int-to-float conversion per pass; it
-    # stays an exact integer, so s + k is the same sum either way
-    k = 1.0
-    while True:
+    for k in _TERM_INDEX:
         term *= x / (s + k)
         total += term
         if term < _ABSORBED:
             return total, int(k)
-        k += 1.0
+    warnings.warn(_CAP_WARNING, RuntimeWarning)
+    return math.nan, _SERIES_CAP
 
 
 def _log_ascending(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log gamma(s, x) by the converged ascending series, for 8 < x < s and
-    x <= _ASCENDING_X_MAX.
+    """log gamma(s, x) by the converged ascending series, for x < s.
 
-    Each element gets exactly the bits of _ascending_sum.  Every rounded
-    term grows with x and falls with s, so the passes stop where
-    _ascending_sum stops at the smallest s and the largest x; each
-    element's own terms are absorbed by then.
+    Each element gets exactly the bits of _ascending_sum.  Every element
+    runs the same in-place passes, checked every _CHECK_PASSES, until each
+    one's own last term is below _ABSORBED; the terms an element adds after
+    its own first such term leave its sum as it is.  Elements whose term
+    _SERIES_CAP is not below _ABSORBED are NaN, with one RuntimeWarning.
     """
     shape = np.broadcast_shapes(s.shape, x.shape)
-    last = _ascending_sum(float(s.min()), float(x.max()))[1]
     s_k, x_k = (float(v) if v.ndim == 0 else v for v in (s, x))
     term = np.ones(shape)
     total = np.ones(shape)
     ratio = np.empty(shape)
-    for k in range(1, last + 1):
-        if s.ndim == 0:
+    for first in range(1, _SERIES_CAP, _CHECK_PASSES):
+        for k in range(first, first + _CHECK_PASSES):
             np.divide(x_k, s_k + k, out=ratio)
-        else:
-            np.add(s_k, k, out=ratio)
-            np.divide(x_k, ratio, out=ratio)
-        term *= ratio
-        total += term
+            term *= ratio
+            total += term
+        if term.max() < _ABSORBED:
+            return _log_from_sum(s, x, total)
+    warnings.warn(_CAP_WARNING, RuntimeWarning)
+    total[term >= _ABSORBED] = np.nan
     return _log_from_sum(s, x, total)
-
-
-def _log_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log gamma(s, x) by the ascending series run to convergence; 1-d s, x > 0.
-
-    Stable for x << s, where the regularized function underflows.  Each
-    element adds its terms in order and stops at the first term below
-    _SERIES_TOL of its running sum, or once the term index k passes
-    _SERIES_CAP.  A pass builds a block of terms for every unfinished
-    element: the cumulative product of the ratios x/(s+k), the first scaled
-    by the last term, and the cumulative sum of the terms, the first raised
-    by the last total, repeat the scalar recurrence term *= x/(s+k),
-    total += term bit for bit.
-    """
-    totals = np.empty(s.shape)
-    active, s_a, x_a = np.arange(s.size), s, x
-    term = total = 1.0
-    k0 = 1
-    # term k is at most r^k with r = x/(s+1) < 1, and the sum at least 1, so
-    # the first block settles every element unless the cap or rounding
-    # intervenes; an r that underflows to 0 needs one term
-    r = float((x / (s + 1.0)).max())
-    width = 1 if r == 0.0 else min(int(math.log(_SERIES_TOL) / math.log(r)) + 2, _SERIES_MAX_WIDTH)
-    while True:
-        ratios = x_a[:, None] / (s_a[:, None] + np.arange(k0, k0 + width))
-        ratios[:, 0] *= term
-        terms = ratios.cumprod(axis=1)
-        ratios[:] = terms
-        ratios[:, 0] += total
-        sums = ratios.cumsum(axis=1)
-        stop = terms < _SERIES_TOL * sums
-        stop[:, max(_SERIES_CAP + 1 - k0, 0):] = True
-        # a row that stops stays stopped: x < s wherever the regularized
-        # function underflows, so its terms shrink while its sum grows
-        going = ~stop[:, -1]
-        stop[:, -1] = True
-        last = stop.argmax(axis=1)
-        totals[active] = sums[np.arange(last.size), last]
-        if not going.any():
-            return _log_from_sum(s, x, totals)
-        active, s_a, x_a = active[going], s_a[going], x_a[going]
-        term, total = terms[going, -1], sums[going, -1]
-        k0 += width
-        width = min(2 * width, _SERIES_MAX_WIDTH)
 
 
 def _log_regularized(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log gamma(s, x) through scipy's regularized function, for x > 8.
 
     gammaln is taken on the order as given, not on its broadcast; elements
-    whose regularized value is too close to underflow take _log_series.
+    whose regularized value is too close to underflow take _log_ascending.
     """
     from scipy import special as sp
 
@@ -387,7 +347,7 @@ def _log_regularized(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     series = reg <= _REGULARIZED_FLOOR
     if series.any():
         s_b, x_b = np.broadcast_arrays(s, x)
-        out[series] = _log_series(s_b[series], x_b[series])
+        out[series] = _log_ascending(s_b[series], x_b[series])
     return out
 
 
@@ -404,14 +364,13 @@ def _log_one(s: float, x: float):
         return s * np.log(x) - x - np.log(s) + np.log(_fixed_sum(s, x)[0])
     if s <= x < math.inf and s <= _SUM_MAX_ORDER and s.is_integer():
         return _log_poisson_one(s, x)
-    if x < s and x <= _ASCENDING_X_MAX:
-        return s * np.log(x) - x - np.log(s) + np.log(_ascending_sum(s, x)[0])
-    from scipy import special as sp
+    if not (x < s and x <= _ASCENDING_X_MAX):
+        from scipy import special as sp
 
-    reg = sp.gammainc(s, x)
-    if reg <= _REGULARIZED_FLOOR:
-        return _log_series(np.array([s]), np.array([x]))[0]
-    return np.log(reg) + sp.gammaln(s)
+        reg = sp.gammainc(s, x)
+        if reg > _REGULARIZED_FLOOR:
+            return np.log(reg) + sp.gammaln(s)
+    return s * np.log(x) - x - np.log(s) + np.log(_ascending_sum(s, x)[0])
 
 
 def _poisson_mask(s: np.ndarray, x: np.ndarray, small: np.ndarray) -> np.ndarray:

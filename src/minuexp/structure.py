@@ -104,7 +104,10 @@ def cdf(params: MinUExpParams, x):
     arr = np.asarray(x, dtype=float)
     inside = (arr > 0.0) & (arr <= a)
     xi = np.where(inside, arr, 0.5 * a)
-    body = 1.0 - np.exp(-lam * xi) + (xi / a) * np.exp(-lam * xi)
+    # an overflowing lambda x stands for e^(-lambda x) = 0
+    with np.errstate(over="ignore"):
+        tail = np.exp(-lam * xi)
+    body = 1.0 - tail + (xi / a) * tail
     out = np.where(arr <= 0.0, 0.0, np.where(arr > a, 1.0, body))
     return _finish(arr, out)
 

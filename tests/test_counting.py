@@ -27,6 +27,7 @@ from minuexp import (
     pgf,
     raw_moment,
     sample_grid_counts,
+    scale,
     scaled_count_params,
     variance,
     xi_given_count_pdf,
@@ -104,9 +105,15 @@ class TestScaledParams:
                     marginal = ordered_pmf(p, [mu_t], [n])
                     assert count_pmf(scaled, n) == pytest.approx(marginal, rel=1e-12)
 
+    def test_is_the_scaled_mixing_law(self):
+        for p in PARAM_GRID + [MinUExpParams(110.0, 0.04)]:
+            for mu_t in (1e-3, 0.3, 1.0, 7.5, 1e4):
+                assert scaled_count_params(p, mu_t) == scale(p, mu_t)
+
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            scaled_count_params(P11, 0.0)
+        for mu_t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="accumulated intensity mu_t must be positive"):
+                scaled_count_params(P11, mu_t)
 
 
 class TestPgf:

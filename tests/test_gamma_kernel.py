@@ -1,7 +1,8 @@
 """Incomplete gamma layer: examples, identities, extreme-argument paths, the
 fixed-length series route at x <= 8, the finite Poisson sum route for
-integer orders at x > 8 and the converged ascending series route for
-8 < x < s, x <= 128."""
+integer orders at x > 8, and the converged ascending series, which serves
+8 < x < s, x <= 128, and the elements where scipy's regularized function
+underflows, with NaN and a warning past its cap."""
 
 import json
 import math
@@ -133,7 +134,8 @@ def test_log_variant_vectorized_mixed_regimes():
 
 
 def _log_series_reference(s, x):
-    # the scalar ascending-series loop the vectorized series reproduces
+    # a scalar ascending-series loop with a relative stop: it takes more
+    # terms than the kernel, which leave every converged sum as it is
     total = term = 1.0
     k = 1
     while True:
@@ -145,10 +147,13 @@ def _log_series_reference(s, x):
     return s * np.log(x) - x - np.log(s) + np.log(total)
 
 
+SERIES_CAP_WARNING = f"did not converge in {gamma_kernel._SERIES_CAP} terms"
+
+
 def test_log_variant_series_matches_scalar_loop_exactly():
     rng = np.random.default_rng(20261018)
     # far below the shape (a few terms), near the underflow boundary
-    # (hundreds to thousands of terms, several blocks), and past the cap
+    # (hundreds to thousands of terms), and past the cap
     s1 = np.exp(rng.uniform(math.log(200.0), math.log(1e5), 3000))
     x1 = s1 * rng.uniform(0.0, 0.6, s1.size)
     s2 = np.exp(rng.uniform(math.log(1e3), math.log(1e7), 600))
@@ -159,10 +164,58 @@ def test_log_variant_series_matches_scalar_loop_exactly():
     series = (special.gammainc(s, x) <= 1e-290) & (x > 0.0)
     s, x = s[series], x[series]
     assert s.size > 2000 and series[-2:].all()
-    got = log_lower_incomplete_gamma(s, x)
-    assert got.tolist() == [_log_series_reference(a, b) for a, b in zip(s.tolist(), x.tolist())]
-    for i in range(0, s.size, 97):
+    with pytest.warns(RuntimeWarning, match=SERIES_CAP_WARNING) as caught:
+        got = log_lower_incomplete_gamma(s, x)
+    assert len(caught) == 1
+    ref = [_log_series_reference(a, b) for a, b in zip(s[:-2].tolist(), x[:-2].tolist())]
+    assert got[:-2].tolist() == ref
+    # the two elements past the cap have not converged in its terms
+    assert np.isnan(got[-2:]).all()
+    for i in range(0, s.size - 2, 97):
         assert log_lower_incomplete_gamma(float(s[i]), float(x[i])) == got[i]
+
+
+def test_series_past_the_cap_is_nan_with_one_warning():
+    # 38 standard deviations below s = 1e10 the series needs 97 238 terms;
+    # the sum of its first 10^4 leaves gamma 2.2 % low
+    s, x = 1e10, 1e10 - 38.0 * 1e5
+    with pytest.warns(RuntimeWarning, match=SERIES_CAP_WARNING) as caught:
+        assert math.isnan(log_lower_incomplete_gamma(s, x))
+    assert len(caught) == 1
+    with pytest.warns(RuntimeWarning, match=SERIES_CAP_WARNING) as caught:
+        got = log_lower_incomplete_gamma(np.full(20, s), np.linspace(x - 1.0, x, 20))
+    assert len(caught) == 1 and np.isnan(got).all()
+    # in a mixed array only the unconverged element is NaN
+    s_mix = np.array([s] + [900.0] * 19)
+    x_mix = np.array([x] + [150.0] * 19)
+    with pytest.warns(RuntimeWarning, match=SERIES_CAP_WARNING) as caught:
+        got = log_lower_incomplete_gamma(s_mix, x_mix)
+    assert len(caught) == 1 and math.isnan(got[0])
+    assert (got[1:] == log_lower_incomplete_gamma(900.0, 150.0)).all()
+
+
+@pytest.mark.parametrize(
+    "s, x",
+    [
+        # the underflow fallback, whose largest x is above its smallest order
+        ([900.0, 1.2e5], [150.0, 1e5]),
+        # the route for 8 < x < s, from an order just above 8 to x at the cap
+        ([8.5, 129.0], [8.4, 128.0]),
+    ],
+)
+def test_series_arrays_stop_on_their_own_elements(s, x):
+    # each element keeps the bits of its own scalar sum, with no warning,
+    # though the pair (smallest s, largest x) would need far more passes
+    s, x = np.tile(s, 9), np.tile(x, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_lower_incomplete_gamma(s, x)
+        assert got.tolist() == [log_lower_incomplete_gamma(a, b) for a, b in zip(s.tolist(), x.tolist())]
+    assert np.isfinite(got).all()
+    if s[0] == 900.0:
+        assert (special.gammainc(s, x) <= gamma_kernel._REGULARIZED_FLOOR).all()
+    else:
+        assert gamma_kernel._ascending_mask(s, x, x <= 8.0).all()
 
 
 # --------------------------------------------------------------------------
@@ -429,29 +482,31 @@ def test_ascending_route_takes_exactly_its_elements():
 
 def test_ascending_cap_is_the_docstring_bound():
     # raising the cap means re-measuring the costs the module docstring
-    # gives, so the docstring must state the new cap and pass count
+    # gives, so the docstring must state the new cap and pass counts
     doc = " ".join(gamma_kernel.__doc__.split())
     assert f"finite 8 < x < s and x <= {X_CAP:g}, any real s:" in doc
     assert f"The cap is {X_CAP:g}, the cap of the finite Poisson sum" in doc
     assert X_CAP == CAP
-    # passes grow with x and fall with s: an array whose smallest order is
-    # just above 8 and whose largest x is the cap needs the most
-    total, worst = gamma_kernel._ascending_sum(ABOVE_8, X_CAP)
-    assert f"one call makes at most {worst} passes." in doc
-    assert math.isfinite(total)
+    # a single element needs the most passes near x = s = cap
+    single = [gamma_kernel._ascending_sum(float(np.nextafter(b, np.inf)), b)[1]
+              for b in np.linspace(ABOVE_8, X_CAP, 2000).tolist()]
+    worst = max(single)
+    assert f"and up to {worst} where s is just above an x near {X_CAP:g}" in doc
     grid_s = np.geomspace(ABOVE_8, 3000.0, 30).tolist()
     grid_x = np.linspace(ABOVE_8, X_CAP, 30).tolist()
-    assert max(gamma_kernel._ascending_sum(a, b)[1] for a in grid_s for b in grid_x) == worst
+    assert max(gamma_kernel._ascending_sum(a, b)[1] for a in grid_s for b in grid_x if b < a) <= worst
     for (s, x), words in {
         (float(np.nextafter(ABOVE_8, 9.0)), ABOVE_8): "{} passes at s -> x -> 8",
         (21.0, 20.99): "{} at (21, 20.99)",
         (115.0, 114.4): "{} at (115, 114.4)",
     }.items():
         assert words.format(gamma_kernel._ascending_sum(s, x)[1]) in doc
-    # a single element needs at most the docstring's count, near x = s = cap
-    single = [gamma_kernel._ascending_sum(float(np.nextafter(b, np.inf)), b)[1]
-              for b in np.linspace(ABOVE_8, X_CAP, 2000).tolist()]
-    assert f"and up to {max(single)} where s is just above an x near {X_CAP:g}" in doc
+    # an array checks its terms every few passes, so a call runs past its
+    # slowest element by less than one check interval
+    check = gamma_kernel._CHECK_PASSES
+    assert gamma_kernel._SERIES_CAP % check == 0
+    assert f"checks its terms every {check} passes" in doc
+    assert f"one call makes at most {-(-worst // check) * check} passes" in doc
 
 
 def _ascending_full(s, x, passes=3000):
@@ -464,12 +519,12 @@ def _ascending_full(s, x, passes=3000):
 
 
 def test_ascending_stop_keeps_every_bit():
-    worst = gamma_kernel._ascending_sum(ABOVE_8, X_CAP)[1]
+    worst = gamma_kernel._ascending_sum(float(np.nextafter(X_CAP, np.inf)), X_CAP)[1]
     for s in (ABOVE_8 + 1e-9, 9.0, 21.0, 64.5, 115.0, 129.0, 1e4):
         for x in (ABOVE_8, 0.5 * (8.0 + min(s, X_CAP)), float(np.nextafter(min(s, X_CAP), 0.0))):
             total, passes = gamma_kernel._ascending_sum(s, x)
             assert total == _ascending_full(s, x) and passes <= worst, (s, x)
-    # one array call runs the passes of its smallest s at its largest x,
+    # one array call runs until every element's own terms are absorbed,
     # and each element keeps the bits of its own full sum
     rng = np.random.default_rng(20261020)
     s = np.exp(rng.uniform(math.log(8.01), math.log(3000.0), 300))

@@ -82,6 +82,20 @@ class TestCdf:
         assert np.all(np.diff(values) >= 0.0)
         assert np.all((values >= 0.0) & (values <= 1.0))
 
+    def test_no_warning_where_lambda_x_overflows(self):
+        # lambda x overflows at the last point, where e^(-lambda x) is 0 and
+        # F is 1; this warned "overflow encountered in multiply"
+        a, lam = 1e300, 9e307
+        xs = [1e-308, 1e-300, 1e-10, 5e299]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = cdf(MinUExpParams(a, lam), np.array(xs))
+            assert values.tolist() == [cdf(MinUExpParams(a, lam), x) for x in xs]
+        with mpmath.workdps(60):
+            am, lm = mpmath.mpf(a), mpmath.mpf(lam)
+            ref = [float(1 - mpmath.exp(-lm * x) * (1 - x / am)) for x in xs]
+        assert values.tolist() == pytest.approx(ref, rel=1e-15)
+
 
 class TestPdf:
     def test_value_at_half(self):
