@@ -68,39 +68,42 @@ gamma algebra.  Each element takes one of four routes, chosen by its own
   the first route run to convergence, term t_k = t_(k-1) x/(s+k) from
   t_0 = 1, summed in order in passes of term *= x/(s+k), total += term.
   Every ratio x/(s+k) is below 1 where x < s, so the rounded terms fall
-  from 1; once one is below 2^-54 every later one is too, and the sum
-  stops, which changes no bit.  An array runs the same passes on all its
-  elements and checks its terms every 8 passes, until each element's own
-  last term is below 2^-54: the terms an element adds past its own stop
-  leave its sum as it is, so it keeps the bits of its own sum.  No scipy.
+  from 1; once one is below 2^-54 of the sum, under half an ulp of it,
+  every later one is too, and the sum stops, which changes no bit.  An
+  array runs the same passes on all its elements until each element's
+  own last term is absorbed: the terms an element adds past its own stop
+  leave its sum as it is, so it keeps the bits of its own sum.  It
+  checks its terms every 8 passes and drops the absorbed elements once
+  they are at least half of those left; with one order it first runs
+  the passes of its largest x, the slowest element.  No scipy.
 
-  One element needs 35 passes at s -> x -> 8, 51 at (21, 20.99), 104 at
-  (115, 114.4) and up to 110 where s is just above an x near 128, so one
-  call makes at most 112 passes: the 110, rounded up to the next check.
-  No term exceeds 1, whatever x, so the cap on x stands only for cost
-  against gammainc.  On 10^4 elements (2-vCPU x86-64 host, best of 9
-  timeit repeats, ranges over three runs on a noisy host) the series
-  took 0.9-1.2 ms against 2.1-3.1 ms for the fourth route at s = 21 and
-  x in (8, 21), the band of the arrival-epoch densities, and 2.1-2.8
-  against 1.9-2.6 ms for a made-up mix of s in (8, 2000) with x in
-  (8, min(s, 128)).  On orders 115..2001 at x = 114.4 it took 0.6-1.0
-  against 0.3-0.5 ms: gammainc underflows at most of those orders, and
-  there the fourth route sums this series in a few passes, while here
-  every order runs the 104 passes of order 115.  Element by element it
-  takes 3.3-7.6 us against 1.3 us for gammainc.  The cap is 128, the cap
-  of the finite Poisson sum: no integer order at x <= 128 loads scipy,
-  and count p.m.f.s at (110, 0.04) take every order past 114 by this
-  series.
+  One element needs 34 passes at s -> x -> 8, 49 at (21, 20.99), 100 at
+  (115, 114.4) and up to 105 where s is just above an x near 128.  A
+  call runs at most 7 passes past its slowest element, so one call makes
+  at most 112 passes.  No term exceeds 1, whatever x, so the cap on x
+  stands only for cost against gammainc.  On 10^4 elements (2-vCPU
+  x86-64 host, best of 9 timeit repeats, ranges over three runs on a
+  noisy host) the series took 0.9-1.0 ms against 2.3-3.5 ms for the
+  fourth route at s = 21 and x in (8, 21), the band of the arrival-epoch
+  densities, and 1.7-2.5 against 2.2-3.3 ms for a made-up mix of s in
+  (8, 2000) with x in (8, min(s, 128)).  On orders 115..2001 at
+  x = 114.4 it took 0.5-0.8 against 0.3-0.5 ms: gammainc underflows at
+  most of those orders, and there the fourth route sums this series in
+  a few passes, while here order 115 needs 100.  Element by element it
+  takes 7-18 us against 1.5-2.8 us for gammainc.  The cap is 128, the
+  cap of the finite Poisson sum: no integer order at x <= 128 loads
+  scipy, and count p.m.f.s at (110, 0.04) take every order past 114 by
+  this series.
 * otherwise (non-integer s <= x, such as the moments' orders at large
   x, x > 128 or x = inf): the regularized scipy.special.gammainc, times
   Gamma(s) through gammaln of the order as given (never its broadcast).
   Where the regularized function underflows (x much smaller than s, as
   in count p.m.f.s with large totals) the elements take the series of
   the third route, at any x.  At large s, near that underflow, the series
-  is long: an element whose term 10 000 is not yet below 2^-54 is NaN,
-  with one RuntimeWarning, since the sum so far is not the answer (at
-  s = 1e10 and x = s - 38 sqrt(s) it leaves gamma 2.2 % low).  Calls of
-  a few elements take the same ufuncs one element at a time.
+  is long: an element whose term 10 000 is not yet below 2^-54 of its
+  sum is NaN, with one RuntimeWarning, since the sum so far is not the
+  answer (at s = 1e10 and x = s - 38 sqrt(s) it leaves gamma 2.2 % low).
+  Calls of a few elements take the same ufuncs one element at a time.
 
 scipy.special is imported only when some element takes the fourth route:
 importing it takes about 0.26 s, more than half the wall time of a short
@@ -123,7 +126,8 @@ __all__ = ["log_lower_incomplete_gamma"]
 _SERIES_X_MAX = 8.0
 # Terms k = 0.._FIXED_TERMS - 1 of the fixed-length series.
 _FIXED_TERMS = 43
-# A term below this is under half an ulp of the sum, which is at least 1.
+# A term below this times the sum is under half an ulp of it; the fixed-length
+# and Poisson sums, at least 1, stop on a term below this itself.
 _ABSORBED = 2.0**-54
 # Calls with at most this many elements run element by element in Python
 # floats: a numpy pass costs about a microsecond however few its elements,
@@ -154,12 +158,9 @@ _REGULARIZED_FLOOR = 1e-290
 
 # The converged series gives up, with NaN, on an element whose term
 # _SERIES_CAP is still not absorbed; an array checks its terms once every
-# _CHECK_PASSES passes, which divides the cap.
+# _CHECK_PASSES passes.
 _SERIES_CAP = 10_000
 _CHECK_PASSES = 8
-# The term indices k = 1.._SERIES_CAP as Python floats: a float k spares an
-# int-to-float conversion per pass, and s + k is the same sum either way.
-_TERM_INDEX = np.arange(1.0, _SERIES_CAP + 1.0).tolist()
 _CAP_WARNING = f"incomplete gamma series did not converge in {_SERIES_CAP} terms; returning NaN"
 
 
@@ -291,46 +292,71 @@ def _ascending_sum(s: float, x: float) -> tuple[float, int]:
 
     Term k is term_(k-1) x/(s+k), the recurrence of _log_ascending.  The
     rounded ratios fall with k, so the terms rise from 1 while the ratios
-    are at least 1 and fall once they are below it: a term below
-    _ABSORBED comes after that peak, every later term is below it too,
-    and stopping there gives the bits of the series run to any length.
-    A sum whose term _SERIES_CAP is not yet below _ABSORBED is NaN, with
-    a RuntimeWarning.
+    are at least 1 and fall once they are below it.  A term below
+    _ABSORBED times the sum is below half an ulp of it, and comes after
+    that peak (before it each term is at least the mean of the terms so
+    far), so every later term is below it too: stopping there gives the
+    bits of the series run to any length.  A sum whose term _SERIES_CAP is
+    not yet absorbed is NaN.
     """
     term = total = 1.0
-    for k in _TERM_INDEX:
+    for k in range(1, _SERIES_CAP + 1):
         term *= x / (s + k)
         total += term
-        if term < _ABSORBED:
-            return total, int(k)
-    warnings.warn(_CAP_WARNING, RuntimeWarning)
+        if term < _ABSORBED * total:
+            return total, k
     return math.nan, _SERIES_CAP
 
 
 def _log_ascending(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log gamma(s, x) by the converged ascending series, for x < s.
 
-    Each element gets exactly the bits of _ascending_sum.  Every element
-    runs the same in-place passes, checked every _CHECK_PASSES, until each
-    one's own last term is below _ABSORBED; the terms an element adds after
-    its own first such term leave its sum as it is.  Elements whose term
-    _SERIES_CAP is not below _ABSORBED are NaN, with one RuntimeWarning.
+    Each element gets exactly the bits of _ascending_sum.  The elements run
+    the same in-place passes, checked every _CHECK_PASSES passes, until each
+    one's own last term is absorbed; the terms an element adds after its own
+    stop leave its sum as it is.  Once at least half of those left are
+    absorbed, they keep their sums and leave the passes.  With one order,
+    the element of largest x is the slowest but for rounding, and its pass
+    count comes before the first check.  Elements whose term _SERIES_CAP is
+    not absorbed are NaN, with one RuntimeWarning.
     """
     shape = np.broadcast_shapes(s.shape, x.shape)
-    s_k, x_k = (float(v) if v.ndim == 0 else v for v in (s, x))
-    term = np.ones(shape)
-    total = np.ones(shape)
-    ratio = np.empty(shape)
-    for first in range(1, _SERIES_CAP, _CHECK_PASSES):
-        for k in range(first, first + _CHECK_PASSES):
+    # flat copies of the order and x, each a float where it is one value
+    s_k, x_k = (
+        float(v) if v.ndim == 0 else (v if v.shape == shape else np.broadcast_to(v, shape)).ravel()
+        for v in (s, x)
+    )
+    size = math.prod(shape)
+    term = np.ones(size)
+    sums = total = np.ones(size)
+    ratio = np.empty(size)
+    # the elements still summed: all, until most of them are done
+    index = slice(None)
+    k = 0
+    stop = _CHECK_PASSES
+    if s.ndim == 0:
+        stop = _ascending_sum(s_k, float(x.max()))[1]
+    while True:
+        for k in range(k + 1, stop + 1):
             np.divide(x_k, s_k + k, out=ratio)
             term *= ratio
             total += term
-        if term.max() < _ABSORBED:
-            return _log_from_sum(s, x, total)
-    warnings.warn(_CAP_WARNING, RuntimeWarning)
-    total[term >= _ABSORBED] = np.nan
-    return _log_from_sum(s, x, total)
+        going = term >= np.multiply(total, _ABSORBED, out=ratio)
+        left = np.count_nonzero(going)
+        if left == 0 or k == _SERIES_CAP:
+            break
+        if 2 * left <= going.size:
+            # most elements' terms are absorbed: keep their sums, drop them
+            sums[index] = total
+            index = np.flatnonzero(going) if isinstance(index, slice) else index[going]
+            term, total, ratio = term[going], total[going], ratio[:left]
+            s_k, x_k = (v if isinstance(v, float) else v[going] for v in (s_k, x_k))
+        stop = min(k + _CHECK_PASSES, _SERIES_CAP)
+    if left:
+        warnings.warn(_CAP_WARNING, RuntimeWarning)
+        total[going] = np.nan
+    sums[index] = total
+    return _log_from_sum(s, x, sums.reshape(shape))
 
 
 def _log_regularized(s: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -370,7 +396,10 @@ def _log_one(s: float, x: float):
         reg = sp.gammainc(s, x)
         if reg > _REGULARIZED_FLOOR:
             return np.log(reg) + sp.gammaln(s)
-    return s * np.log(x) - x - np.log(s) + np.log(_ascending_sum(s, x)[0])
+    total = _ascending_sum(s, x)[0]
+    if math.isnan(total):
+        warnings.warn(_CAP_WARNING, RuntimeWarning)
+    return s * np.log(x) - x - np.log(s) + np.log(total)
 
 
 def _poisson_mask(s: np.ndarray, x: np.ndarray, small: np.ndarray) -> np.ndarray:

@@ -134,8 +134,9 @@ def test_log_variant_vectorized_mixed_regimes():
 
 
 def _log_series_reference(s, x):
-    # a scalar ascending-series loop with a relative stop: it takes more
-    # terms than the kernel, which leave every converged sum as it is
+    # a scalar ascending-series loop that stops on a term below 1e-18 of its
+    # sum: later than the kernel's 2^-54 (5.6e-17), and the terms it adds
+    # past the kernel's stop leave every converged sum as it is
     total = term = 1.0
     k = 1
     while True:
@@ -192,6 +193,23 @@ def test_series_past_the_cap_is_nan_with_one_warning():
         got = log_lower_incomplete_gamma(s_mix, x_mix)
     assert len(caught) == 1 and math.isnan(got[0])
     assert (got[1:] == log_lower_incomplete_gamma(900.0, 150.0)).all()
+
+
+def test_series_stops_relative_to_its_sum():
+    # near x = s at large s the sum is in the hundreds, and its terms are
+    # absorbed well above 2^-54: here at term 8649 of the 10 000 allowed,
+    # where a stop at 2^-54 itself would not come before the cap
+    s = 1e9
+    x = s - 116.0 * math.sqrt(s)
+    assert special.gammainc(s, x) <= gamma_kernel._REGULARIZED_FLOOR
+    ref = _log_series_reference(s, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert log_lower_incomplete_gamma(s, x) == ref
+        got = log_lower_incomplete_gamma(np.full(20, s), np.full(20, x))
+        assert (got == ref).all()
+    total, passes = gamma_kernel._ascending_sum(s, x)
+    assert total > 250.0 and passes < gamma_kernel._SERIES_CAP
 
 
 @pytest.mark.parametrize(
@@ -504,9 +522,9 @@ def test_ascending_cap_is_the_docstring_bound():
     # an array checks its terms every few passes, so a call runs past its
     # slowest element by less than one check interval
     check = gamma_kernel._CHECK_PASSES
-    assert gamma_kernel._SERIES_CAP % check == 0
     assert f"checks its terms every {check} passes" in doc
-    assert f"one call makes at most {-(-worst // check) * check} passes" in doc
+    assert f"runs at most {check - 1} passes past its slowest element" in doc
+    assert f"one call makes at most {worst + check - 1} passes" in doc
 
 
 def _ascending_full(s, x, passes=3000):
