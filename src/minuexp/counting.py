@@ -11,6 +11,7 @@ double range near n ~ 150 in direct form.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -196,6 +197,12 @@ def increments_to_ordered(m):
     return np.cumsum(incs)
 
 
+@functools.lru_cache(maxsize=64)
+def _log_posterior_norm(a: float, lam: float, n: int, c: float) -> float:
+    """log(a J(n, c)), memoized: quadrature over x repeats (params, mu_t, n)."""
+    return math.log(a) + log_mixing_kernel(MinUExpParams(a, lam), n, c)
+
+
 def xi_given_count_pdf(params: MinUExpParams, mu_t: float, n: int, x):
     """Posterior density of xi given N(t) = n, supported on (0, a]:
 
@@ -208,7 +215,7 @@ def xi_given_count_pdf(params: MinUExpParams, mu_t: float, n: int, x):
     n = _integer(n, "count n must be a nonnegative integer", 0)
     a, lam = params.a, params.lam
     c = lam + mu_t
-    log_norm = math.log(a) + log_mixing_kernel(params, n, c)
+    log_norm = _log_posterior_norm(a, lam, n, c)
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)

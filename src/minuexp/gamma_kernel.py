@@ -2,10 +2,11 @@
 
     gamma(s, x) = integral_0^x u^(s-1) e^(-u) du
 
-The mixing kernel in minuexp._mixture builds every closed form of the
-family from log gamma(s, x); nothing else in the package needs incomplete
-gamma algebra.  Each element takes one of four routes, chosen by its own
-(s, x):
+The mixing kernel in minuexp._mixture takes log gamma(s, x) for the
+elements it does not sum itself: kernel orders above 127, non-integer
+orders with ac at least the order plus one, and non-finite arguments.
+Nothing else in the package needs incomplete gamma algebra.  Each element
+takes one of four routes, chosen by its own (s, x):
 
 * x <= 8: the ascending series (DLMF 8.7.1, A&S 6.5.29)
 
@@ -60,8 +61,7 @@ gamma algebra.  Each element takes one of four routes, chosen by its own
   by element a pass costs about 75 ns in Python floats against about
   3 us for one gammainc element, so there the sum loses past s of about
   40, by up to 4 us at the cap.  The cap is 128: it keeps the arrays'
-  gain, bounds that loss, and lets count p.m.f.s at (110, 0.04), where
-  x = 114.4, take every order up to 114 by the sum.  One call makes at
+  gain and bounds that loss.  One call makes at
   most 127 passes: 83 at x = s = 128, fewer at larger x, and all 127
   only where an array of orders pairs order 128 with an x far below it.
 * finite 8 < x < s and x <= 128, any real s: the ascending series of
@@ -92,8 +92,7 @@ gamma algebra.  Each element takes one of four routes, chosen by its own
   a few passes, while here order 115 needs 100.  Element by element it
   takes 7-18 us against 1.5-2.8 us for gammainc.  The cap is 128, the
   cap of the finite Poisson sum: no integer order at x <= 128 loads
-  scipy, and count p.m.f.s at (110, 0.04) take every order past 114 by
-  this series.
+  scipy.
 * otherwise (non-integer s <= x, such as the moments' orders at large
   x, x > 128 or x = inf): the regularized scipy.special.gammainc, times
   Gamma(s) through gammaln of the order as given (never its broadcast).
@@ -107,10 +106,12 @@ gamma algebra.  Each element takes one of four routes, chosen by its own
 
 scipy.special is imported only when some element takes the fourth route:
 importing it takes about 0.26 s, more than half the wall time of a short
-CLI command, while every integer order at x <= 128 (all count p.m.f.s,
-arrival-epoch densities and posterior means at a (lambda + t) <= 128)
-needs only the first three.  A repeat import inside a call is a
-dictionary lookup.
+CLI command, while every integer order at x <= 128 needs only the first
+three.  Count p.m.f.s, arrival-epoch densities and posterior means reach
+this module only at kernel orders of 128 and above (gamma orders of 129
+and above), which the first and third routes serve wherever
+a (lambda + t) <= 128; so they load scipy only where both exceed 128.  A
+repeat import inside a call is a dictionary lookup.
 """
 
 from __future__ import annotations

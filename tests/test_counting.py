@@ -32,6 +32,8 @@ from minuexp import (
     variance,
     xi_given_count_pdf,
 )
+from minuexp import counting
+from minuexp._mixture import log_mixing_kernel
 from minuexp.oracle import mix_integral
 from minuexp.validation import pgf_series_coefficient
 
@@ -320,6 +322,29 @@ class TestXiGivenCount:
             xi_given_count_pdf(P11, 0.0, 1, 0.5)
         with pytest.raises(ValueError):
             xi_given_count_pdf(P11, 1.0, -1, 0.5)
+
+    def test_normalizer_is_computed_once_per_point(self, monkeypatch):
+        # quadrature over x repeats (params, mu_t, n): the kernel runs once
+        calls = []
+
+        def counted(params, s, c):
+            calls.append((params, s, c))
+            return log_mixing_kernel(params, s, c)
+
+        counting._log_posterior_norm.cache_clear()
+        monkeypatch.setattr(counting, "log_mixing_kernel", counted)
+        p, mu_t, n = PARAM_GRID[4], 0.7, 5
+        c = p.lam + mu_t
+        xs = np.linspace(0.0, 1.2 * p.a, 13)
+        values = [xi_given_count_pdf(p, mu_t, n, x) for x in xs.tolist()]
+        assert xi_given_count_pdf(p, mu_t, n, xs).tolist() == values
+        assert calls == [(p, n, c)]
+        # the same bits as the unmemoized formula
+        log_norm = math.log(p.a) + log_mixing_kernel(p, n, c)
+        inside = (xs > 0.0) & (xs <= p.a)
+        x_in = np.where(inside, xs, 0.5 * p.a)
+        log_num = -x_in * c + np.log(p.lam * p.a + 1.0 - p.lam * x_in) + n * np.log(x_in)
+        assert values == np.where(inside, np.exp(log_num - log_norm), 0.0).tolist()
 
 
 class TestMeanXiGivenCount:

@@ -27,6 +27,7 @@ from minuexp import (
     raw_moment,
     structure,
 )
+from minuexp import _mixture
 from minuexp._mixture import log_mixing_kernel, mixing_kernel
 
 from conftest import CORNER_GRID, P11, P110, PARAM_GRID
@@ -49,14 +50,17 @@ def _gamma_ref(s, x):
     return _gamma_series(s, x) if x < s else mpmath.gammainc(mpmath.mpf(s), 0, mpmath.mpf(x))
 
 
-def _log_kernel_reference(a, lam, s, c):
+def _kernel_reference(a, lam, s, c):
     # real order s > -1
     am, lm, cm, sm = map(mpmath.mpf, (a, lam, c, s))
-    value = (1 / am) * (
+    return (1 / am) * (
         (1 + lm * am) * _gamma_ref(sm + 1, am * cm) / cm ** (sm + 1)
         - lm * _gamma_ref(sm + 2, am * cm) / cm ** (sm + 2)
     )
-    return float(mpmath.log(value))
+
+
+def _log_kernel_reference(a, lam, s, c):
+    return float(mpmath.log(_kernel_reference(a, lam, s, c)))
 
 
 def _raw_moment_reference(a, lam, k):
@@ -353,3 +357,96 @@ def test_count_laws_scalar_n_raise_as_the_array_path(bad):
     assert _error_text(lambda: counting.count_pmf(P11, bad)) == pmf
     mean = _error_text(lambda: counting.mean_xi_given_count(P11, 2.0, np.array([bad, 1.0])))
     assert _error_text(lambda: counting.mean_xi_given_count(P11, 2.0, bad)) == mean
+
+
+# --------------------------------------------------------------------------
+# The kernel's own sums: routes A (z < s + 1) and B (z >= s + 1), s <= 127
+
+
+def _kummer_tails(s, terms):
+    """Tails of P0 = sum z^k/(b)_k and P1 = sum z^k (k+1)/(b)_(k+1) past
+    `terms` terms, over their heads, at z = s + 1 (b = s + 2)."""
+    b, z = mpmath.mpf(s) + 2, mpmath.mpf(s) + 1
+    t0, heads, tails = mpmath.mpf(1), [0, 0], [0, 0]
+    k = 0
+    while k < terms or t0 > mpmath.mpf(10) ** -30 * heads[0]:
+        t1 = t0 * (k + 1) / (b + k)
+        part = heads if k < terms else tails
+        part[0] += t0
+        part[1] += t1
+        t0 *= z / (b + k)
+        k += 1
+    return max(tails[0] / heads[0], tails[1] / heads[1])
+
+
+def _route_a_terms(s):
+    return _mixture._table(_mixture._kummer_tables, float(s))[1]
+
+
+def test_route_a_table_lengths():
+    # K(s) terms leave both tails below 2^-54 of their sums at z = s + 1,
+    # where they are largest, and K(s) - 2 terms do not
+    mpmath.mp.dps = 30
+    counts = {}
+    for s in list(range(0, 128, 9)) + [127, -0.999, -0.5, 0.5, 19.5, 126.5]:
+        count = _route_a_terms(s)
+        assert _kummer_tails(s, count) < mpmath.mpf(2) ** -54, s
+        assert _kummer_tails(s, count - 2) >= mpmath.mpf(2) ** -54, s
+        counts[s] = count
+    assert (counts[0], counts[127], _route_a_terms(20)) == (18, 110, 51)
+    assert counts[127] == _mixture._KUMMER_WIDTH
+    # an array of orders runs the passes of its largest order
+    lengths = [_route_a_terms(s) for s in np.linspace(-0.999, 127.0, 400).tolist()]
+    assert lengths == sorted(lengths)
+
+
+def test_taylor_terms_of_stable_b_and_a():
+    # below x = 1 the alternating series of B and A stop at _TAYLOR_TERMS
+    # terms: the first term left out, largest against the sum as x -> 1, is
+    # below 2^-54 of B(1) = 1/e and of A(1) = 3/e - 1, and with one term
+    # fewer it is not
+    mpmath.mp.dps = 30
+    b1, a1 = mpmath.e**-1, 3 * mpmath.e**-1 - 1
+
+    def first_left_out(j):
+        return max(1 / mpmath.factorial(j) / b1, (j - 2) / mpmath.factorial(j) / a1)
+
+    terms = _mixture._TAYLOR_TERMS
+    assert first_left_out(terms) < mpmath.mpf(2) ** -54 <= first_left_out(terms - 1)
+    xs = np.concatenate([np.geomspace(1e-300, 0.999, 60), np.array([0.5, 0.999999])])
+    values = zip(xs.tolist(), _mixture._stable_B(xs).tolist(), _mixture._stable_A(xs).tolist())
+    for x, b, a in values:
+        xm = mpmath.mpf(x)
+        assert b == pytest.approx(float(xm - 1 + mpmath.e**-xm), rel=4e-16), x
+        assert a == pytest.approx(float(xm - 2 + (xm + 2) * mpmath.e**-xm), rel=4e-16), x
+
+
+# orders spread over 0..127, both routes at every tilt below
+GATE_ORDERS = [0, 1, 2, 3, 5, 8, 13, 20, 21, 34, 55, 64, 89, 113, 126, 127]
+
+
+@pytest.mark.parametrize("params", PARAM_GRID + CORNER_GRID + [P110], ids=str)
+def test_log_kernel_to_1e12_at_orders_up_to_127(params):
+    # |log J - log J_ref| is the relative error of J; the sign-tracked
+    # combine left up to 8e-11 here where q < 0
+    mpmath.mp.dps = 40
+    for mu in (0.01, 1.0, 100.0):
+        c = params.lam + mu
+        got = log_mixing_kernel(params, np.array(GATE_ORDERS), c)
+        for n, value in zip(GATE_ORDERS, got.tolist()):
+            ref = _log_kernel_reference(params.a, params.lam, n, c)
+            assert abs(value - ref) <= 1e-12, (mu, n)
+
+
+@pytest.mark.parametrize("params", CORNER_GRID, ids=str)
+def test_erlang_pdf_to_1e12_at_the_corners(params):
+    mpmath.mp.dps = 40
+    ts = np.geomspace(1e-12, 1e6, 37)
+    for n in (1, 2, 7, 20, 64, 127):
+        got = interarrival.erlang_pdf(params, n, ts)
+        for t, value in zip(ts.tolist(), got.tolist()):
+            # the exact c = lambda + t, not its rounding
+            kernel = _kernel_reference(params.a, params.lam, n, mpmath.mpf(params.lam) + t)
+            ref = mpmath.mpf(t) ** (n - 1) / mpmath.factorial(n - 1) * kernel
+            if _is_normal_double(ref):
+                assert value == pytest.approx(float(ref), rel=1e-12), (n, t)

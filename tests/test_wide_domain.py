@@ -8,14 +8,23 @@ log-uniformly from [1e-6, 1e3], orders up to 2000 and times from 1e-6 to
 import math
 
 import numpy as np
+import pytest
 
 # loaded here, not inside the first example that reaches the kernel's
 # scipy route, whose import time would count against Hypothesis's deadline
 import scipy.special  # noqa: F401
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minuexp import MinUExpParams, erlang_pdf, mean_xi_given_count, tau_cdf, tau_pdf
+from minuexp import (
+    MinUExpParams,
+    count_pmf,
+    erlang_pdf,
+    mean_xi_given_count,
+    scale,
+    tau_cdf,
+    tau_pdf,
+)
 from minuexp._mixture import log_mixing_kernel
 
 
@@ -64,3 +73,38 @@ def test_posterior_means_lie_inside_the_support(params, mu_t, ns):
     means = mean_xi_given_count(params, mu_t, np.array(ns))
     assert ((means > 0.0) & (means < params.a)).all()
     assert means.tolist() == [mean_xi_given_count(params, mu_t, n) for n in ns]
+
+
+# --------------------------------------------------------------------------
+# The paper's relations between laws coded apart, at 1e-12 wherever both
+# sides are normal doubles: the sign-tracked combine missed them by up to
+# 1.3e-11 where q < 0
+
+TINY = 2.2250738585072014e-308
+
+
+def _normal(*values):
+    return all(TINY <= abs(v) < math.inf for v in values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=params_st, n=st.integers(1, 126), t=_log_uniform(1e-4, 1e4))
+def test_erlang_density_is_the_count_law_at_the_scaled_parameters(params, n, t):
+    # T_n <= t exactly when N(t) >= n, and scaling xi by t gives the count law
+    # at unit intensity: f_n(t) = (n/t) p_n at scale(p, t)
+    density = erlang_pdf(params, n, t)
+    p_n = count_pmf(scale(params, t), n)
+    # a subnormal p_n has lost bits before n/t can bring it back to range
+    if _normal(density, p_n, n / t * p_n):
+        assert density == pytest.approx(n / t * p_n, rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=params_st, n=st.integers(0, 126), mu_t=_log_uniform(1e-4, 1e4))
+def test_posterior_mean_is_a_ratio_of_count_probabilities(params, n, mu_t):
+    # E(xi | N = n) = (n+1) p_(n+1) / (mu p_n), p at scale(p, mu)
+    scaled = scale(params, mu_t)
+    p_n, p_next = count_pmf(scaled, n), count_pmf(scaled, n + 1)
+    mean = mean_xi_given_count(params, mu_t, n)
+    if _normal(p_n, p_next, mean):
+        assert mean == pytest.approx((n + 1) * p_next / (mu_t * p_n), rel=1e-12)
