@@ -342,7 +342,8 @@ _COLD_START_TABLE = {
     ),
     "fit-mom": ("minuexp.cli", ("fit", "--method", "mom", "--input", "draws.csv"), (), ("scipy",)),
     "fit-lsq": ("minuexp.cli", ("fit", "--method", "lsq", "--input", "draws.csv"), (), ("scipy",)),
-    # a (lambda + mu) <= 8: every kernel element is on the series route
+    # kernel orders 0..3 at a (lambda + 1) = 2: every element takes the
+    # kernel's own sums, route A or B
     "eval-count-pmf": (
         "minuexp.cli", ("eval", "--fn", "count-pmf", *_PARAMS, "--n", "0..3"), (), ("scipy",),
     ),
@@ -352,8 +353,8 @@ _COLD_START_TABLE = {
         (),
         ("scipy",),
     ),
-    # a (lambda + 1) = 114.4 and orders 1..4: every element takes the finite
-    # Poisson sum
+    # a (lambda + 1) = 114.4 and kernel orders 0..3: every element takes the
+    # kernel's route B, its finite Poisson sum
     "eval-count-pmf-large-a": (
         "minuexp.cli",
         ("eval", "--fn", "count-pmf", "--a", "110", "--lambda", "0.04", "--n", "0..3"),
@@ -376,8 +377,8 @@ _COLD_START_TABLE = {
         ("scipy.special",),
         ("scipy.optimize",),
     ),
-    # incomplete-gamma order 21 at a (lambda + t) from 1.01 to 101: every
-    # element takes one of the three scipy-free routes
+    # kernel order 20 at a (lambda + t) from 1.01 to 101: every element takes
+    # the kernel's route A below 21 and its route B from 21 on
     "eval-erlang-pdf": (
         "minuexp.cli",
         ("eval", "--fn", "erlang-pdf", "--erlang-n", "20", *_PARAMS, "--grid", "0.01:100:0.01"),

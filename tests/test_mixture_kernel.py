@@ -400,6 +400,17 @@ def test_route_a_table_lengths():
     assert lengths == sorted(lengths)
 
 
+def test_lgamma_table_is_within_an_ulp_of_log_factorial():
+    # route B's log s!, not math.lgamma: that misses log 2 at s = 2 by 3.2 ulps
+    mpmath.mp.dps = 50
+    exact = [float(mpmath.log(mpmath.factorial(s))) for s in range(_mixture._OWN_MAX_ORDER + 1)]
+    table = _mixture._integer_tables(_mixture._poisson_tables)[2].tolist()
+    assert len(table) == len(exact) == 128
+    assert sum(a != b for a, b in zip(table, exact)) <= 3
+    assert all(abs(a - b) <= math.ulp(b) for a, b in zip(table, exact))
+    assert table[2] == math.log(2.0) != math.lgamma(3.0)
+
+
 def test_taylor_terms_of_stable_b_and_a():
     # below x = 1 the alternating series of B and A stop at _TAYLOR_TERMS
     # terms: the first term left out, largest against the sum as x -> 1, is

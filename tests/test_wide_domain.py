@@ -20,7 +20,11 @@ from minuexp import (
     MinUExpParams,
     count_pmf,
     erlang_pdf,
+    factorial_moment,
+    lst,
     mean_xi_given_count,
+    pgf,
+    raw_moment,
     scale,
     tau_cdf,
     tau_pdf,
@@ -108,3 +112,49 @@ def test_posterior_mean_is_a_ratio_of_count_probabilities(params, n, mu_t):
     mean = mean_xi_given_count(params, mu_t, n)
     if _normal(p_n, p_next, mean):
         assert mean == pytest.approx((n + 1) * p_next / (mu_t * p_n), rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=params_st, mu_t=_log_uniform(1e-4, 1e4))
+def test_no_arrival_is_the_transform_at_the_intensity(params, mu_t):
+    # P(N(t) = 0) = E e^(-mu xi), the count law at scale(p, mu) and unit intensity
+    p_0, transform = count_pmf(scale(params, mu_t), 0), lst(params, mu_t)
+    if _normal(p_0, transform):
+        assert p_0 == pytest.approx(transform, rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=params_st, t=_log_uniform(1e-4, 1e4))
+def test_waiting_time_density_is_the_first_epoch_density(params, t):
+    # tau = T_1
+    density, first = tau_pdf(params, t), erlang_pdf(params, 1, t)
+    if _normal(density, first):
+        assert density == pytest.approx(first, rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=params_st, t=_log_uniform(1e-4, 1e4))
+def test_waiting_time_survival_is_the_transform(params, t):
+    # P(tau > t) = E e^(-xi t); only where lst >= 1/2 does 1 - tau_cdf not
+    # cancel
+    transform = lst(params, t)
+    if transform >= 0.5:
+        assert 1.0 - tau_cdf(params, t) == pytest.approx(transform, rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=params_st, mu_t=_log_uniform(1e-4, 1e4), z=st.floats(-1.0, 1.0))
+def test_pgf_is_the_transform_at_the_thinned_intensity(params, mu_t, z):
+    # E z^N = E e^(-mu xi (1 - z))
+    value, transform = pgf(params, mu_t, z), lst(params, mu_t * (1.0 - z))
+    if _normal(value, transform):
+        assert value == pytest.approx(transform, rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=params_st, mu_t=_log_uniform(1e-4, 1e4), k=st.integers(1, 60))
+def test_factorial_moments_are_raw_moments_of_the_poisson_mean(params, mu_t, k):
+    # E(N)_k = E (mu xi)^k; mu^k is at most 1e240 here, so it is finite
+    value, raw = factorial_moment(params, mu_t, k), raw_moment(params, k)
+    if _normal(value, raw, mu_t**k * raw):
+        assert value == pytest.approx(mu_t**k * raw, rel=1e-12)
