@@ -17,7 +17,16 @@ import math
 import numpy as np
 
 from ._mixture import log_mixing_kernel
-from .structure import MinUExpParams, _finish, _integer, lst, scale, variance
+from .structure import (
+    MinUExpParams,
+    _finish,
+    _increasing_grid,
+    _integer,
+    lst,
+    raw_moment,
+    scale,
+    variance,
+)
 
 __all__ = [
     "count_pmf",
@@ -70,15 +79,6 @@ def _check_mu_t(mu_t: float) -> None:
         raise ValueError("accumulated intensity mu_t must be positive")
 
 
-def _validate_grid(mu) -> np.ndarray:
-    grid = np.asarray(mu, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("intensity grid must be a nonempty one-dimensional vector")
-    if not (np.all(grid > 0.0) and np.all(np.diff(grid) > 0.0)):
-        raise ValueError("intensity grid must be positive and strictly increasing")
-    return grid
-
-
 def count_pmf(params: MinUExpParams, n):
     """P(N = n) of the unit-intensity count law, with c = lambda + 1:
 
@@ -122,13 +122,11 @@ def pgf(params: MinUExpParams, mu_t: float, z):
 def count_mean_var(params: MinUExpParams, mu_t: float) -> tuple[float, float]:
     """Mean and variance of N(t) at accumulated intensity mu_t.
 
-    mean = (mu/lambda)(1 - 1/(a lambda) + e^(-lambda a)/(a lambda)),
-    var  = mean + mu^2 Var(xi).  The law is over-dispersed: var > mean.
+    mean = mu E(xi) and var = mean + mu^2 Var(xi), both moments of xi from
+    the mixing kernel.  The law is over-dispersed: var > mean.
     """
     _check_mu_t(mu_t)
-    a, lam = params.a, params.lam
-    z = a * lam
-    mean = mu_t / lam * (1.0 - 1.0 / z + math.exp(-z) / z)
+    mean = mu_t * raw_moment(params, 1)
     return mean, mean + mu_t**2 * variance(params)
 
 
@@ -154,7 +152,7 @@ def ordered_pmf(params: MinUExpParams, mu, k) -> float:
     a single power of a agrees only at a = 1).  Non-monotone or negative
     count vectors are outside the support and return 0.
     """
-    grid = _validate_grid(mu)
+    grid = _increasing_grid(mu, "intensity grid")
     counts = _validate_counts(k, "count vector k")
     if counts.size != grid.size:
         raise ValueError("count vector and intensity grid must have matching length")

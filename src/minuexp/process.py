@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import structure
-from .structure import MinUExpParams, _integer
+from .structure import MinUExpParams, _increasing_grid, _integer
 
 __all__ = [
     "MuTransform",
@@ -189,11 +189,8 @@ def simulate_paths(
 def simulate_first_arrivals(
     params: MinUExpParams, mu: MuTransform, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact times of the first k events, with no horizon truncation."""
-    k = _integer(k, "number of arrivals k must be a positive integer")
-    xi = structure.sample(params, rng)
-    s = np.cumsum(rng.exponential(size=k))
-    return np.asarray(mu.inverse(s / xi), dtype=float)
+    """Exact times of the first k events, no horizon: one path of sample_arrival_times."""
+    return sample_arrival_times(params, mu, k, 1, rng)[0]
 
 
 def sample_arrival_times(
@@ -217,17 +214,6 @@ def sample_arrival_times(
     return np.asarray(mu.inverse(s), dtype=float)
 
 
-def _check_times(times) -> np.ndarray:
-    """A time grid as a float vector: nonempty, positive, strictly increasing."""
-    t_arr = np.asarray(times, dtype=float)
-    if t_arr.ndim != 1 or t_arr.size == 0:
-        raise ValueError("times must be a nonempty one-dimensional vector")
-    # written so that NaN fails too
-    if not (np.all(t_arr > 0.0) and np.all(np.diff(t_arr) > 0.0)):
-        raise ValueError("times must be positive and strictly increasing")
-    return t_arr
-
-
 def sample_grid_counts(
     params: MinUExpParams,
     mu: MuTransform,
@@ -245,7 +231,7 @@ def sample_grid_counts(
     about 1.4x the output at three grid times.  The draws do not depend on
     the block size; output is deterministic for fixed (stream state, paths).
     """
-    t_arr = _check_times(times)
+    t_arr = _increasing_grid(times, "times")
     paths = _integer(paths, "number of paths must be a positive integer")
     widths = np.diff(np.asarray(mu(t_arr), dtype=float), prepend=0.0)
     xi = structure.sample(params, rng, size=paths)
@@ -267,7 +253,7 @@ def sample_grid_counts(
 
 def counts_on_grid(traj: Trajectory, times) -> np.ndarray:
     """Counts N(t_j) of one path on an increasing grid within its horizon."""
-    t_arr = _check_times(times)
+    t_arr = _increasing_grid(times, "times")
     if t_arr[-1] > traj.horizon:
         raise ValueError("grid extends beyond the trajectory horizon")
     return np.searchsorted(traj.arrivals, t_arr, side="right").astype(np.int64)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._mixture import mixing_kernel
+from ._mixture import log_mixing_kernel, mixing_kernel
 
 __all__ = [
     "MinUExpParams",
@@ -56,6 +56,17 @@ def _integer(value, message: str, lowest: int = 1) -> int:
     if not (lowest <= value < math.inf and int(value) == value):
         raise ValueError(message)
     return int(value)
+
+
+def _increasing_grid(values, name: str) -> np.ndarray:
+    """values as a nonempty, positive, strictly increasing float vector; errors call it name."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{name} must be a nonempty one-dimensional vector")
+    # written so that NaN fails too
+    if not (np.all(grid > 0.0) and np.all(np.diff(grid) > 0.0)):
+        raise ValueError(f"{name} must be positive and strictly increasing")
+    return grid
 
 
 def _scaled_rate(a: float, lam: float, t: np.ndarray):
@@ -106,8 +117,9 @@ def cdf(params: MinUExpParams, x):
     xi = np.where(inside, arr, 0.5 * a)
     # an overflowing lambda x stands for e^(-lambda x) = 0
     with np.errstate(over="ignore"):
-        tail = np.exp(-lam * xi)
-    body = 1.0 - tail + (xi / a) * tail
+        exponent = -lam * xi
+    # -expm1, not 1 - e^(-lambda x), which cancels at small lambda x
+    body = -np.expm1(exponent) + (xi / a) * np.exp(exponent)
     out = np.where(arr <= 0.0, 0.0, np.where(arr > a, 1.0, body))
     return _finish(arr, out)
 
@@ -165,11 +177,13 @@ def raw_moment(params: MinUExpParams, k: int) -> float:
 
 
 def variance(params: MinUExpParams) -> float:
-    """Variance of xi in closed form."""
-    a, lam = params.a, params.lam
-    z = a * lam
-    e = math.exp(-z)
-    return (2.0 + 2.0 * e - ((z + 1.0 - e) / z) ** 2) / lam**2
+    """Variance J(2, lambda) - J(1, lambda)^2 of xi from the mixing kernel, as
+    J1^2 expm1(log J2 - 2 log J1): J2/J1^2 lies in (4/3, 2), so it loses at
+    most two bits.  inf past overflow."""
+    log_j1 = log_mixing_kernel(params, 1, params.lam)
+    log_j2 = log_mixing_kernel(params, 2, params.lam)
+    with np.errstate(over="ignore"):
+        return float(np.exp(2.0 * log_j1) * np.expm1(log_j2 - 2.0 * log_j1))
 
 
 def lst(params: MinUExpParams, t):

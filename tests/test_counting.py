@@ -49,6 +49,8 @@ from conftest import (
     P11,
     P110,
     PARAM_GRID,
+    log_uniform_params,
+    mp_mean_variance,
 )
 
 
@@ -157,6 +159,27 @@ class TestMeanVar:
                 assert m == pytest.approx(mu_t * raw_moment(p, 1), rel=1e-12)
                 assert v - m == pytest.approx(mu_t**2 * variance(p), rel=1e-12)
 
+    def test_against_mpmath_over_a_wide_domain(self):
+        # the expanded forms in z = a lambda were up to 1.7e7 (mean) and
+        # 5.1e16 (variance) off on these draws
+        mu_ts = np.exp(np.random.default_rng(20252).uniform(np.log(1e-4), np.log(1e4), 2000))
+        for p, mu_t in zip(log_uniform_params(20253, 2000), mu_ts.tolist()):
+            mean, var = mp_mean_variance(p.a, p.lam)
+            m, v = count_mean_var(p, mu_t)
+            assert m == pytest.approx(mu_t * mean, rel=1e-13, abs=0.0)
+            assert v == pytest.approx(mu_t * mean + mu_t**2 * var, rel=1e-13, abs=0.0)
+
+    def test_extreme_products(self):
+        # a lambda = 1e-300 raised ZeroDivisionError, and a = 1e-300 gave a
+        # variance of 4 for a mean of 5e-301
+        mean, var = count_mean_var(MinUExpParams(1.0, 1e-300), 1.0)
+        assert mean == pytest.approx(0.5, rel=1e-15, abs=0.0)
+        assert var == pytest.approx(0.5 + 1.0 / 12.0, rel=1e-15, abs=0.0)
+        mean, var = count_mean_var(MinUExpParams(1e-300, 1.0), 1.0)
+        assert mean == pytest.approx(5e-301, rel=1e-12, abs=0.0)
+        assert var == mean
+        assert count_mean_var(MinUExpParams(1e200, 1e-200), 1.0)[1] == math.inf
+
     def test_mean_linear_in_intensity(self):
         for p in PARAM_GRID:
             m1, _ = count_mean_var(p, 0.8)
@@ -218,6 +241,20 @@ class TestJointGrids:
             increments_pmf(P11, [0.5], [1, 1])
         with pytest.raises(ValueError):
             ordered_pmf(P11, [1.0, 0.5], [1, 2])
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([[0.5, 1.0]], "intensity grid must be a nonempty one-dimensional vector"),
+            ([], "intensity grid must be a nonempty one-dimensional vector"),
+            ([1.0, 0.5], "intensity grid must be positive and strictly increasing"),
+            ([0.0, 0.5], "intensity grid must be positive and strictly increasing"),
+            ([0.5, math.nan], "intensity grid must be positive and strictly increasing"),
+        ],
+    )
+    def test_grid_messages(self, grid, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ordered_pmf(P11, grid, [1, 2])
 
     def test_mixture_oracle(self):
         for p in PARAM_GRID:

@@ -10,6 +10,7 @@ from scipy import stats
 
 from minuexp import (
     LinearMu,
+    MinUExpParams,
     PowerMu,
     TableMu,
     Trajectory,
@@ -180,6 +181,11 @@ class TestGridCounts:
             counts_on_grid(traj, [1.0, 3.0])
         with pytest.raises(ValueError):
             counts_on_grid(traj, [-1.0, 0.5])
+        for times in ([], [[1.0]]):
+            with pytest.raises(ValueError, match="^times must be a nonempty one-dimensional vector$"):
+                counts_on_grid(traj, times)
+            with pytest.raises(ValueError, match="^times must be a nonempty one-dimensional vector$"):
+                sample_grid_counts(P11, LinearMu(1.0), times, 10, make_stream(6))
         for times in ([math.nan], [1.0, math.nan]):
             with pytest.raises(ValueError, match="positive and strictly increasing"):
                 counts_on_grid(traj, times)
@@ -310,6 +316,17 @@ class TestInterarrivals:
         traj = Trajectory(xi=0.5, arrivals=np.empty(0), horizon=1.0)
         with pytest.raises(ValueError):
             interarrivals(traj)
+
+    @pytest.mark.parametrize("mu", MU_KINDS, ids=lambda mu: type(mu).__name__)
+    @pytest.mark.parametrize("params", [MinUExpParams(2.0, 1.0), P110], ids=repr)
+    def test_first_arrivals_are_one_path_of_the_batch_sampler(self, mu, params):
+        # the reference is the single-path sampler: one xi, then the
+        # cumulative sums of k exponentials scaled by 1/xi
+        for seed in range(200):
+            rng = make_stream(seed)
+            xi = float(_reference_xi(params, rng, None))
+            expected = mu.inverse(np.cumsum(rng.exponential(size=5)) / xi)
+            assert np.array_equal(simulate_first_arrivals(params, mu, 5, make_stream(seed)), expected)
 
     def test_first_arrivals_exact_no_truncation(self):
         arr = simulate_first_arrivals(P11, LinearMu(1.0), 5, make_stream(87))

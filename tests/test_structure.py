@@ -32,6 +32,7 @@ from minuexp import (
 from minuexp.oracle import ks_statistic, mc_mean, mix_integral
 
 from conftest import (
+    CORNER_GRID,
     FROZEN_CDF_AT_HALF,
     FROZEN_LST_AT_1,
     FROZEN_MEAN,
@@ -43,6 +44,8 @@ from conftest import (
     P11,
     P110,
     PARAM_GRID,
+    log_uniform_params,
+    mp_mean_variance,
 )
 
 
@@ -95,6 +98,16 @@ class TestCdf:
             am, lm = mpmath.mpf(a), mpmath.mpf(lam)
             ref = [float(1 - mpmath.exp(-lm * x) * (1 - x / am)) for x in xs]
         assert values.tolist() == pytest.approx(ref, rel=1e-15)
+
+    @pytest.mark.parametrize("p", PARAM_GRID + CORNER_GRID, ids=repr)
+    def test_small_x_against_mpmath(self, p):
+        # 1 - e^(-lambda x) + (x/a) e^(-lambda x) cancelled in its first
+        # difference: 1.1e-5 off at P11 and x = 1e-12
+        xs = p.a * np.array([1e-12, 1e-8, 1e-4])
+        with mpmath.workdps(60):
+            am, lm = mpmath.mpf(p.a), mpmath.mpf(p.lam)
+            ref = [float(1 - mpmath.exp(-lm * x) * (1 - x / am)) for x in xs.tolist()]
+        assert cdf(p, xs).tolist() == pytest.approx(ref, rel=1e-15, abs=0.0)
 
 
 class TestPdf:
@@ -231,6 +244,18 @@ class TestVariance:
         for p in PARAM_GRID + [P110]:
             ref = raw_moment(p, 2) - raw_moment(p, 1) ** 2
             assert variance(p) == pytest.approx(ref, rel=1e-12)
+
+    def test_against_mpmath_over_a_wide_domain(self):
+        # the expanded form in z = a lambda was up to 2.6e21 off on these draws
+        for p in log_uniform_params(20251, 2000):
+            assert variance(p) == pytest.approx(mp_mean_variance(p.a, p.lam)[1], rel=1e-13, abs=0.0)
+
+    def test_extreme_products(self):
+        # a lambda = 1e-300 raised ZeroDivisionError; at a = 1e-300 the true
+        # 8e-602 underflows, where the expanded form gave 4.0
+        assert variance(MinUExpParams(1.0, 1e-300)) == pytest.approx(1.0 / 12.0, rel=1e-15, abs=0.0)
+        assert variance(MinUExpParams(1e-300, 1.0)) == 0.0
+        assert variance(MinUExpParams(1e200, 1e-200)) == math.inf
 
     def test_pure_exponential_limit(self):
         # variance -> 1/lambda^2 at rate 2/(a lambda); the stated 1e-10

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from minuexp import (
     MinUExpParams,
+    count_mean_var,
     count_pmf,
     erlang_pdf,
     factorial_moment,
@@ -158,3 +159,12 @@ def test_factorial_moments_are_raw_moments_of_the_poisson_mean(params, mu_t, k):
     value, raw = factorial_moment(params, mu_t, k), raw_moment(params, k)
     if _normal(value, raw, mu_t**k * raw):
         assert value == pytest.approx(mu_t**k * raw, rel=1e-12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(params=params_st, mu_t=_log_uniform(1e-4, 1e4))
+def test_count_mean_is_the_first_factorial_moment(params, mu_t):
+    # E N = mu E xi = E(N)_1
+    mean, first = count_mean_var(params, mu_t)[0], factorial_moment(params, mu_t, 1)
+    if _normal(mean, first):
+        assert mean == pytest.approx(first, rel=1e-14, abs=0.0)
