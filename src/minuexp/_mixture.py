@@ -35,7 +35,7 @@ chosen by its own (s, z) and the call's theta:
   d_k = c0_k/theta + c1_k, and log theta is added, so that it does not
   overflow at any finite theta: every ratio z/(b+k) is below 1 here and
   c1_k <= c0_k, so P0 and P1 are both below b/(b-z) < b.
-* Route B, finite z >= s + 1 and integer s <= 127.  The finite Poisson
+* Route B, z >= s + 1 and integer s <= 127.  The finite Poisson
   sum (DLMF 8.4.10), gamma(s+1, z) = s! (1 - e^E S) with
 
       E = s log z - z - lgamma(s+1),  S = sum_(j<=s) s!/(s-j)! z^-j,
@@ -55,13 +55,19 @@ chosen by its own (s, z) and the call's theta:
   e^E S is the Poisson(z) probability of at most s, below 1/2 since
   z >= s + 1, so the log1p argument is above -1/2 and does not cancel;
   e^E <= 1/e and theta/g <= theta, so nothing overflows.  S is summed by
-  Horner in 1/z.  Where E < -700, e^E is taken as exactly 0 without
-  calling exp (slow on subnormal results): there z > s + 695, so theta/g
-  and S are both below 1.2 and the dropped term is under 1e-303.  lgamma
-  is the exact sum (math.fsum) of the rounded logs of 2..s, built with
-  the route-B tables.
+  Horner in 1/z.  Where E < -700, e^E is taken as exactly 0: exp runs on
+  max(E, -700), never on the subnormal results it is slow on, and those
+  elements are zeroed after.  There z > s + 695, so theta/g and S are
+  both below 1.2 and the dropped term is under 1e-303.  lgamma is the
+  exact sum (math.fsum) of the rounded logs of 2..s, built with the
+  route-B tables.  Where z = ac overflows at finite c, the limit z -> inf
+  is taken: g = theta + 1 and e^E = 0, so
+
+      log J = lgamma(s+1) - log a - (s+1) log c + log(theta + 1).
 * Route C, everything else: orders above 127, non-integer orders with
-  z >= s + 1, and non-finite z or theta.  The incomplete gamma of
+  z >= s + 1, and theta = inf.  At those orders an overflowing z still
+  gives NaN, an open defect: q = lambda a c + c - lambda (s+1) forms
+  inf - inf there.  The incomplete gamma of
   minuexp.gamma_kernel and the sign-tracked combine of the two terms:
   with l1 = log|t1|, l2 = log t2 and m = max(l1, l2),
 
@@ -72,25 +78,45 @@ chosen by its own (s, z) and the call's theta:
   NaN.  There is no branch on the sign of q.
 
 Table lengths.  Both sums run over coefficient tables whose length
-depends on the order alone.  They are built on first use, never at
-import: the 128 integer orders of each route in one go (about 2 ms, and
-225 kB of route-A and 131 kB of route-B coefficients), a real order of
-route A alone (1.8 kB).  A functools.lru_cache bounded to 384 orders keeps
-each order's table: the integer orders of both routes and 128 real ones.
-Route A keeps K(s) terms: the fewest after which the tails of both P0 and P1 are
-below 2^-54 of their sums at z = s + 1.  The relative tail of a positive
-series grows with z, so that bound holds on all of route A.  The ratio of
-consecutive terms, z/(b+k) in P0 and z (k+2)/((k+1)(b+k+1)) in P1, falls
-with k, so from term k on each tail is at most term k / (1 - ratio at k)
-once that ratio is below 1; K(s) is the first k where both bounds are
-below 2^-54 of the terms before.  It is 18 at s = 0, 51 at s = 20 and 110
-at s = 127, and grows with s (tests/test_mixture_kernel.py re-derives
-these against exact tails).  The coefficients are 1/(b)_k and
-(k+1)/(b)_(k+1) from a float running product.  Route B keeps the s + 1
-coefficients s!/(s-j)!, exact integer products each rounded once.
+depends on the order alone.  Route A keeps K(s) terms: the fewest after
+which the tails of both P0 and P1 are below 2^-54 of their sums at
+z = s + 1.  The relative tail of a positive series grows with z, so that
+bound holds on all of route A.  The ratio of consecutive terms, z/(b+k)
+in P0 and z (k+2)/((k+1)(b+k+1)) in P1, falls with k, so from term k on
+each tail is at most term k / (1 - ratio at k) once that ratio is below
+1; K(s) is the first k where both bounds are below 2^-54 of the terms
+before.  It is 18 at s = 0, 51 at s = 20 and 110 at s = 127, and grows
+with s (tests/test_mixture_kernel.py re-derives these against exact
+tails).  The coefficients are 1/(b)_k and (k+1)/(b)_(k+1) from a float
+running product.  Route B keeps the s + 1 coefficients s!/(s-j)!, exact
+integer products each rounded once.
 
-The bits do not depend on the call's shape.  Each Horner pass is one
-multiply and one add, highest coefficient first:
+Caches.  Every table is built on first use, never at import, and each
+cache is bounded:
+
+* _integer_tables, keyed by route: the tables of the 128 integer orders
+  of that route, built in one go (about 2 ms), 225 kB for route A and
+  131 kB for route B;
+* _table, keyed by (route, order), at most 384 orders (the integer orders
+  of both routes and 128 real ones): an integer order's column of the
+  above, or a real order's own route-A table (1.8 kB);
+* _rows, keyed by (route, order), at most 384 orders: the same
+  coefficients as lists of Python floats for the scalar path, about
+  32 bytes each, so at most 7 kB per route-A order and 4 kB per route-B
+  order; the 256 integer orders take about 1 MB (680 kB of route A and
+  300 kB of route B, by tracemalloc).
+
+count_pmf keeps one more, its array of log n! (minuexp.counting): it
+grows to the largest count asked for, and stops at 2^14 entries (128 kB).
+
+The bits do not depend on the call's shape.  Only where s and c are both
+arrays are they broadcast against each other and flattened; a single
+order or a single tilt stays a float.  z = ac and z < s + 1 are formed
+once per call.  A route that takes every element runs on the inputs as
+they are.  Otherwise each route takes its elements by index, and only
+the arguments it reads (route A never reads c), and its results are put
+back by index.  Each Horner pass is one multiply and one add, highest
+coefficient first:
 
 * a scalar order over an array of c (as erlang_pdf calls it) runs its own
   table, the coefficients d_k formed once as floats;
@@ -104,15 +130,17 @@ multiply and one add, highest coefficient first:
   each pass takes its coefficients by each element's column;
 * a call with 0-d s and c takes a scalar path that runs the same passes,
   and the rest of the same operations, on Python floats, whose + - * /
-  are the IEEE operations numpy applies to each array element.  Each
-  numpy operation on a 0-d array costs a microsecond or more.  Its exp,
-  log and log1p are np.exp, np.log and np.log1p applied to floats, never
-  math's: those can differ from numpy's in the last bit (math.exp did at
-  s = 1), and the scalar path must give the bits of the same point inside
-  an array.  log(s+1) and lgamma(s+1) come with each order's table, and
-  log a and log theta are taken once per call on floats in every path.
-  Route C at q = 0 takes log|q| = -inf without calling np.log, where the
-  array path silences the divide warning instead.
+  are the IEEE operations numpy applies to each array element.  Route A
+  forms each d_k inside its Horner loop from the order's cached rows,
+  never as a numpy operation: each of those on a 0-d array or a short
+  row costs a microsecond or more.  Its exp, log and log1p are np.exp,
+  np.log and np.log1p applied to floats, never math's: those can differ
+  from numpy's in the last bit (math.exp did at s = 1), and the scalar
+  path must give the bits of the same point inside an array.  log(s+1)
+  and lgamma(s+1) come with each order's table, and log a and log theta
+  are taken once per call on floats in every path.  Route C at q = 0
+  takes log|q| = -inf without calling np.log, where the array path
+  silences the divide warning instead.
 
 The module also holds B(x) = x - 1 + e^(-x), A(x) = x - 2 + (x + 2) e^(-x)
 and C(x) = 1 - (1 + x) e^(-x) without cancellation (_stable_B, _stable_A,
@@ -243,6 +271,14 @@ def _table(builder, s: float) -> tuple[np.ndarray, int, float]:
     return table[..., column], int(counts[column]), float(consts[column])
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _rows(builder, s: float) -> tuple[list, float]:
+    """_table's coefficients of one order as Python floats, trimmed to its
+    count, and its constant: what the scalar path sums over."""
+    table, count, const = _table(builder, s)
+    return table[..., table.shape[-1] - count :].tolist(), const
+
+
 def _tables(builder, s):
     """The coefficients, the constant and the column index of order s.
 
@@ -283,8 +319,13 @@ def _horner(coef: np.ndarray, x, which) -> np.ndarray:
     elements then take.
     """
     if which is None:
-        acc = np.full(x.shape, coef[0])
-        for value in coef[1:].tolist():
+        values = coef.tolist()
+        if len(values) == 1:
+            return np.full(x.shape, values[0])
+        # x c_0, the first pass's product, without filling an array with c_0
+        acc = x * values[0]
+        acc += values[1]
+        for value in values[2:]:
             acc *= x
             acc += value
         return acc
@@ -324,7 +365,7 @@ def _kummer_coef(table: np.ndarray, theta: float) -> tuple[np.ndarray, float]:
     return table[0] / theta + table[1], math.log(theta)
 
 
-def _log_kummer(log_a: float, theta: float, s, z, c) -> np.ndarray:
+def _log_kummer(log_a: float, theta: float, s, z) -> np.ndarray:
     """Route A, z < s + 1: log J = s log a - log(s+1) - z + log sum."""
     table, log_s1, which = _tables(_kummer_tables, s)
     coef, log_out = _kummer_coef(table, theta)
@@ -332,37 +373,57 @@ def _log_kummer(log_a: float, theta: float, s, z, c) -> np.ndarray:
     return s * log_a - log_s1 + log_out - z + np.log(total)
 
 
-def _log_kummer_one(log_a: float, theta: float, s: float, z: float, c: float) -> float:
-    """_log_kummer at one element, on Python floats."""
-    table, count, log_s1 = _table(_kummer_tables, s)
-    coef, log_out = _kummer_coef(table[:, _KUMMER_WIDTH - count :], theta)
-    total = _horner_one(coef.tolist(), z)
+def _log_kummer_one(log_a: float, theta: float, s: float, z: float) -> float:
+    """_log_kummer at one element, on Python floats: _kummer_coef's d_k is
+    formed inside the Horner loop, from the order's cached rows, in the
+    operations numpy applies to each element."""
+    (c0, c1), log_s1 = _rows(_kummer_tables, s)
+    # 0 z + d_0 = d_0 exactly at the finite z of route A
+    total = 0.0
+    if theta <= 1.0:
+        log_out = 0.0
+        for u, v in zip(c0, c1):
+            total = total * z + (u + theta * v)
+    else:
+        log_out = math.log(theta)
+        for u, v in zip(c0, c1):
+            total = total * z + (u / theta + v)
     return s * log_a - log_s1 + log_out - z + float(np.log(total))
 
 
 def _log_poisson(log_a: float, theta: float, s, z, c) -> np.ndarray:
-    """Route B, z >= s + 1 and integer s: with E = s log z - z - lgamma(s+1),
-    S = sum_j s!/(s-j)! z^-j and g = theta (z - s - 1)/z + 1 = q / c,
+    """Route B, finite z >= s + 1 and integer s: with
+    E = s log z - z - lgamma(s+1), S = sum_j s!/(s-j)! z^-j and
+    g = theta (z - s - 1)/z + 1 = q / c,
 
         log J = lgamma(s+1) - log a - (s+1) log c + log g
                 + log1p(e^E (theta/g - S)).
     """
     table, lgamma, which = _tables(_poisson_tables, s)
     total = _horner(table, 1.0 / z, which)
-    log_z = np.log(z)
-    e = s * log_z - z - lgamma
-    tail = np.zeros(e.shape)
-    np.exp(e, out=tail, where=e >= _EXP_FLOOR)
+    e = s * np.log(z) - z - lgamma
+    # e^E at E >= _EXP_FLOOR, exactly 0 below it (and at a NaN E)
+    tail = np.exp(np.maximum(e, _EXP_FLOOR))
+    np.putmask(tail, ~(e >= _EXP_FLOOR), 0.0)
     g = theta * ((z - (s + 1.0)) / z) + 1.0
     return (
         lgamma - log_a - (s + 1.0) * np.log(c) + np.log(g) + np.log1p(tail * (theta / g - total))
     )
 
 
+def _log_poisson_limit(log_a: float, theta: float, s, c) -> np.ndarray:
+    """Route B where z = ac overflows at finite c: there g = theta + 1 and
+    e^E = 0, so log J = lgamma(s+1) - log a - (s+1) log c + log(theta + 1)."""
+    lgamma = _tables(_poisson_tables, s)[1]
+    return lgamma - log_a - (s + 1.0) * np.log(c) + np.log(theta + 1.0)
+
+
 def _log_poisson_one(log_a: float, theta: float, s: float, z: float, c: float) -> float:
-    """_log_poisson at one element, on Python floats."""
-    table, count, lgamma = _table(_poisson_tables, s)
-    total = _horner_one(table[_POISSON_WIDTH - count :].tolist(), 1.0 / z)
+    """_log_poisson, or its limit at z = inf, at one element, on Python floats."""
+    coef, lgamma = _rows(_poisson_tables, s)
+    if z == math.inf:
+        return lgamma - log_a - (s + 1.0) * float(np.log(c)) + float(np.log(theta + 1.0))
+    total = _horner_one(coef, 1.0 / z)
     log_z = float(np.log(z))
     e = s * log_z - z - lgamma
     tail = float(np.exp(e)) if e >= _EXP_FLOOR else 0.0
@@ -414,54 +475,113 @@ def _log_combine_one(a: float, lam: float, s: float, c: float) -> float:
 # the kernel
 
 
-def log_mixing_kernel(params: MinUExpParams, s, c):
-    """log J(s, c) for real order s > -1 and c > 0; broadcasts s against c."""
-    if _is_scalar(s) and _is_scalar(c):
-        return _log_mixing_kernel_one(params.a, params.lam, float(s), float(c))
-    a, lam = params.a, params.lam
-    s = np.asarray(s, dtype=float)
-    if not ((s > -1.0) & (s < np.inf)).all():
-        raise ValueError(_S_DOMAIN)
-    c = np.asarray(c, dtype=float)
-    if not ((c > 0.0) & (c < np.inf)).all():
-        raise ValueError(_C_DOMAIN)
+def _as_float(value):
+    """value as a float if it is one number, else as a float array."""
+    if _is_scalar(value):
+        return float(value)
+    arr = np.asarray(value, dtype=float)
+    return float(arr) if arr.ndim == 0 else arr
 
-    shape = np.broadcast_shapes(s.shape, c.shape)
+
+def _span(value) -> tuple[float, float]:
+    """The least and the greatest element of a float or an array, NaN where
+    it holds a NaN (min and max propagate it); (inf, -inf) if it is empty."""
+    if isinstance(value, float):
+        return value, value
+    return float(value.min(initial=math.inf)), float(value.max(initial=-math.inf))
+
+
+def _pick(value, index):
+    """The elements index selects of a flat array, or all of it where index
+    is None; a float stands for every element."""
+    return value if index is None or isinstance(value, float) else value.take(index)
+
+
+def log_mixing_kernel(params: MinUExpParams, s, c):
+    """log J(s, c) for real order s > -1 and c > 0; broadcasts s against c.
+
+    Where z = ac overflows at finite c, integer orders up to 127 take
+    route B's limit; other orders there still give NaN (see the module
+    docstring).
+    """
+    a, lam = params.a, params.lam
+    s, c = _as_float(s), _as_float(c)
+    if isinstance(s, float) and isinstance(c, float):
+        return _log_mixing_kernel_one(a, lam, s, c)
+    s_low, s_high = _span(s)
+    if not (s_low > -1.0 and s_high < math.inf):
+        raise ValueError(_S_DOMAIN)
+    c_low, c_high = _span(c)
+    if not (c_low > 0.0 and c_high < math.inf):
+        raise ValueError(_C_DOMAIN)
     theta = lam * a
-    if not (theta < math.inf and s.size and c.size and s.min() <= _OWN_MAX_ORDER):
+    empty = s_low > s_high or c_low > c_high
+    if empty or not (theta < math.inf and s_low <= _OWN_MAX_ORDER):
         out = _log_combine(a, lam, s, c)
         return out if out.ndim else float(out)
-    # flat copies of the order, z = ac and c, each a float where it is one value
-    s_f, z_f, c_f = (
-        float(v) if v.ndim == 0 else np.broadcast_to(v, shape).ravel() for v in (s, a * c, c)
-    )
-    # route A where z < s + 1, route B at integer s where finite z >= s + 1,
-    # both for s <= 127 only; route C the rest
-    below = z_f < s_f + 1.0
-    own = z_f < math.inf
-    if s.ndim:
-        own &= s_f <= _OWN_MAX_ORDER
-        below &= own
-    above = own & ~below
-    if s.ndim or not s_f.is_integer():
-        above &= s_f == np.floor(s_f)
-    routes = [
-        (route, mask) for route, mask in ((_log_kummer, below), (_log_poisson, above)) if mask.any()
-    ]
-    size = math.prod(shape)
-    if np.count_nonzero(below) + np.count_nonzero(above) < size:
-        routes.append((None, ~(below | above)))
+
+    # flat views; only two arrays are broadcast against each other
+    if isinstance(s, float):
+        shape, c = c.shape, c.ravel()
+    elif isinstance(c, float):
+        shape, s = s.shape, s.ravel()
+    else:
+        shape = np.broadcast_shapes(s.shape, c.shape)
+        s, c = (np.broadcast_to(v, shape).ravel() for v in (s, c))
+    # a c rounds monotonically in c, so a times the largest c is the largest z
+    z_high = a * c_high
+    if z_high < math.inf:
+        z = a * c
+    else:
+        with np.errstate(over="ignore"):
+            z = a * c
+
+    # route A where z < s + 1, route B at integer s where z >= s + 1, with
+    # its limit where z = inf, both for s <= 127 only; route C the rest.
+    # Each route is (its elements, their count, the route on the elements
+    # an index picks), and reads only its own arguments.
     log_a = math.log(a)
-    out = np.empty(size)
-    for route, mask in routes:
-        index = slice(None) if len(routes) == 1 else np.flatnonzero(mask)
-        s_r, z_r, c_r = (v if isinstance(v, float) else v[index] for v in (s_f, z_f, c_f))
-        if route is None:
-            out[index] = _log_combine(a, lam, s_r, c_r)
-        else:
-            out[index] = route(log_a, theta, s_r, z_r, c_r)
-    out = out.reshape(shape)
-    return out if out.ndim else float(out)
+    below = z < s + 1.0
+    if s_high > _OWN_MAX_ORDER:
+        own = s <= _OWN_MAX_ORDER
+        below &= own
+    size = below.size
+    routes = [
+        (below, np.count_nonzero(below),
+         lambda i: _log_kummer(log_a, theta, _pick(s, i), _pick(z, i))),
+    ]
+    if routes[0][1] < size and (not isinstance(s, float) or s.is_integer()):
+        above = ~below
+        if s_high > _OWN_MAX_ORDER:
+            above &= own
+        if not isinstance(s, float):
+            above &= s == np.floor(s)
+        if z_high == math.inf:
+            limit = above & (z == math.inf)
+            above &= ~limit
+            routes.append((limit, np.count_nonzero(limit),
+                           lambda i: _log_poisson_limit(log_a, theta, _pick(s, i), _pick(c, i))))
+        routes.append((above, np.count_nonzero(above),
+                       lambda i: _log_poisson(log_a, theta, _pick(s, i), _pick(z, i), _pick(c, i))))
+    taken = sum(count for _, count, _ in routes)
+    if taken < size:
+        other = below.copy()
+        for mask, _, _ in routes[1:]:
+            other |= mask
+        np.logical_not(other, out=other)
+        routes.append((other, size - taken,
+                       lambda i: _log_combine(a, lam, _pick(s, i), _pick(c, i))))
+    whole = [route for _, count, route in routes if count == size]
+    if whole:
+        # one route takes every element, on the inputs as they are
+        out = whole[0](None)
+    else:
+        out = np.empty(size)
+        for mask, count, route in routes:
+            if count:
+                index = np.flatnonzero(mask)
+                out[index] = route(index)
+    return out.reshape(shape)
 
 
 def _log_mixing_kernel_one(a: float, lam: float, s: float, c: float) -> float:
@@ -472,9 +592,9 @@ def _log_mixing_kernel_one(a: float, lam: float, s: float, c: float) -> float:
     if not 0.0 < c < math.inf:
         raise ValueError(_C_DOMAIN)
     z, theta = a * c, lam * a
-    if s <= _OWN_MAX_ORDER and z < math.inf and theta < math.inf:
+    if s <= _OWN_MAX_ORDER and theta < math.inf:
         if z < s + 1.0:
-            return _log_kummer_one(math.log(a), theta, s, z, c)
+            return _log_kummer_one(math.log(a), theta, s, z)
         if s.is_integer():
             return _log_poisson_one(math.log(a), theta, s, z, c)
     return _log_combine_one(a, lam, s, c)

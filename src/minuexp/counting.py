@@ -93,11 +93,33 @@ def count_pmf(params: MinUExpParams, n):
         return float(np.exp(log_pmf))
     counts, scalar = _count_indices(n, "count index n")
     order = counts[0] if scalar else counts
-    log_pmf = log_mixing_kernel(params, order, params.lam + 1.0) - np.array(
-        [math.lgamma(k + 1.0) for k in counts.tolist()]
-    )
+    log_pmf = log_mixing_kernel(params, order, params.lam + 1.0) - _log_factorials(counts)
     out = np.exp(log_pmf)
     return float(out[0]) if scalar else out
+
+
+# count_pmf's log n! values for n below this are kept, 8 bytes each
+_LOG_FACTORIAL_CAP = 1 << 14
+_log_factorial_table = np.zeros(0)
+
+
+def _log_factorials(counts: np.ndarray) -> np.ndarray:
+    """math.lgamma(n + 1) of each count, from a table of those values that
+    grows to the largest count asked for, up to _LOG_FACTORIAL_CAP; counts
+    past the cap take math.lgamma one by one."""
+    global _log_factorial_table
+    table = _log_factorial_table
+    top = int(counts.max())
+    if top >= table.size and table.size < _LOG_FACTORIAL_CAP:
+        grown = range(table.size, min(top + 1, _LOG_FACTORIAL_CAP))
+        table = np.concatenate([table, [math.lgamma(k + 1.0) for k in grown]])
+        _log_factorial_table = table
+    if top < table.size:
+        return table.take(counts)
+    out = table.take(np.minimum(counts, table.size - 1))
+    past = np.flatnonzero(counts >= table.size)
+    out[past] = [math.lgamma(k + 1.0) for k in counts.take(past).tolist()]
+    return out
 
 
 def scaled_count_params(params: MinUExpParams, mu_t: float) -> MinUExpParams:

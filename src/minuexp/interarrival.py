@@ -209,11 +209,12 @@ def mean_xi_given_tau(params: MinUExpParams, t):
     which the quadrature oracle confirms; always lies in (0, a).
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(~(arr > 0.0)):
+    # written so that NaN fails too
+    if not (arr > 0.0).all():
         raise ValueError("conditioning time t must be positive")
-    out = np.exp(log_mixing_kernel(params, 2, params.lam + arr)
-                 - log_mixing_kernel(params, 1, params.lam + arr))
-    return _finish(arr, out)
+    c = params.lam + arr
+    out = np.exp(log_mixing_kernel(params, 2, c) - log_mixing_kernel(params, 1, c))
+    return float(out) if out.ndim == 0 else out
 
 
 def multivariate_pdf_II(params: MinUExpParams, t) -> float:
@@ -244,19 +245,24 @@ def erlang_pdf(params: MinUExpParams, n: int, t):
 
     The leading power of c is n+2: that is what the n = 1 reduction to the
     single inter-arrival density and the quadrature oracle require.
-    Evaluated in log space so large n does not overflow.
+    Evaluated in log space so large n does not overflow.  0 for t <= 0 and
+    at t = +inf, NaN at NaN.
     """
     n = _integer(n, "event index n must be a positive integer")
     arr = np.asarray(t, dtype=float)
-    pos = arr > 0.0
-    ti = np.where(pos, arr, 1.0)
-    log_body = (
-        (n - 1) * np.log(ti)
-        - math.lgamma(n)
-        + log_mixing_kernel(params, n, params.lam + ti)
-    )
-    out = np.where(pos, np.exp(log_body), 0.0)
+    # every t in (0, inf), and so none NaN: nothing to mask
+    if arr.size and arr.min() > 0.0 and arr.max() < math.inf:
+        out = np.exp(_log_erlang_body(params, n, arr))
+        return float(out) if out.ndim == 0 else out
+    inside = (arr > 0.0) & (arr < math.inf)
+    ti = np.where(inside, arr, 1.0)
+    out = np.where(inside, np.exp(_log_erlang_body(params, n, ti)), 0.0)
     return _finish(arr, out)
+
+
+def _log_erlang_body(params: MinUExpParams, n: int, t: np.ndarray):
+    """log of erlang_pdf at t in (0, inf)."""
+    return (n - 1) * np.log(t) - math.lgamma(n) + log_mixing_kernel(params, n, params.lam + t)
 
 
 def erlang_moment(params: MinUExpParams, n: int, power: float) -> float:

@@ -474,6 +474,17 @@ class TestErlangPdf:
         assert erlang_pdf(P11, 3, 0.0) == 0.0
         assert erlang_pdf(P11, 3, -1.0) == 0.0
 
+    def test_limit_at_infinity(self):
+        # the limit at t = +inf is 0, as tau_pdf's; a NaN t stays NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in (P11, P110, CORNER_GRID[0]):
+                assert erlang_pdf(p, 3, math.inf) == 0.0
+                assert erlang_pdf(p, 1, [math.inf]).tolist() == tau_pdf(p, [math.inf]).tolist()
+                out = erlang_pdf(p, 2, np.array([2.0, math.inf, math.nan, 0.5]))
+                assert out[1] == 0.0 and math.isnan(out[2])
+                assert out[[0, 3]].tolist() == [erlang_pdf(p, 2, 2.0), erlang_pdf(p, 2, 0.5)]
+
     def test_mixture_oracle(self):
         for p in PARAM_GRID:
             for n in (1, 2, 3, 5):

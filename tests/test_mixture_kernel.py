@@ -360,6 +360,119 @@ def test_count_laws_scalar_n_raise_as_the_array_path(bad):
 
 
 # --------------------------------------------------------------------------
+# The array dispatcher, branch by branch: one order over an array of c, with
+# each element's bits those of the scalar path
+
+
+def _scalar_row(params, s, cs):
+    return [log_mixing_kernel(params, s, c) for c in cs.tolist()]
+
+
+@pytest.mark.parametrize("params", [P11, P110, MinUExpParams(5.0, 4.0)], ids=str)
+def test_dispatcher_one_route_in_place(params):
+    # every z below s + 1 (route A alone), and every finite z at or above it
+    # (route B alone): the route runs on the whole array, without a gather
+    for s in (0.0, 3.0, 20.0, 126.5, 127.0):
+        cs = np.geomspace(1e-3, 0.999, 50) * (s + 1.0) / params.a
+        assert (params.a * cs < s + 1.0).all()
+        assert log_mixing_kernel(params, s, cs).tolist() == _scalar_row(params, s, cs), s
+    for s in (0, 1, 3, 20, 127):
+        cs = np.geomspace(1.0, 1e6, 50) * (s + 1.0) / params.a
+        assert (params.a * cs >= s + 1.0).all()
+        assert log_mixing_kernel(params, s, cs).tolist() == _scalar_row(params, s, cs), s
+
+
+@pytest.mark.parametrize("params", [P11, P110, MinUExpParams(5.0, 4.0)], ids=str)
+def test_dispatcher_mixed_routes(params):
+    # routes A and B within one array, the order's z = s + 1 itself included
+    for s in (1, 5, 20, 127):
+        cs = np.concatenate([np.geomspace(1e-2, 1e2, 61) * (s + 1.0) / params.a,
+                             [(s + 1.0) / params.a]])
+        z = params.a * cs
+        assert (z < s + 1.0).any() and (z >= s + 1.0).any()
+        assert log_mixing_kernel(params, s, cs).tolist() == _scalar_row(params, s, cs), s
+    # route C elements: a real order past z = s + 1 beside its route-A
+    # elements, and orders past 127, which take route C alone
+    for s in (127.5, 128, 300):
+        cs = np.geomspace(1e-2, 1e2, 41) * (s + 1.0) / params.a
+        assert log_mixing_kernel(params, s, cs).tolist() == _scalar_row(params, s, cs), s
+
+
+def test_dispatcher_where_z_overflows():
+    # where z = ac overflows at finite c, integer orders up to 127 take route
+    # B's limit, g = theta + 1 and e^E = 0, without a warning.  Beside it:
+    # route B at 1e300, route A at 1e-3
+    p = MinUExpParams(1e3, 1.0)
+    mpmath.mp.dps = 40
+    cs = np.array([1e300, 1e306, 1e-3, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0, 1, 3, 5, 127):
+            row = log_mixing_kernel(p, s, cs)
+            assert row.tolist() == _scalar_row(p, s, cs), s
+            for c, value in zip(cs.tolist(), row.tolist()):
+                ref = _log_kernel_reference(p.a, p.lam, s, c)
+                assert value == pytest.approx(ref, rel=1e-14, abs=0.0), (s, c)
+        got = log_mixing_kernel(p, [0, 1, 5], 1e306)
+    assert got.tolist() == pytest.approx([-704.59003895584490, -1409.1810774120229,
+                                          -4222.7577394939527], rel=1e-15, abs=0.0)
+
+
+def test_public_evaluators_where_z_overflows():
+    p = MinUExpParams(1e3, 1.0)
+    mpmath.mp.dps = 40
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert interarrival.erlang_pdf(p, 1, 1e306) == 0.0
+        assert interarrival.erlang_pdf(p, 3, [1e300, 1e306]).tolist() == [0.0, 0.0]
+        # E(xi | N = 2) = J(3, c)/J(2, c) and E(xi | tau = t) = J(2, c)/J(1, c)
+        count_mean = counting.mean_xi_given_count(p, 1e306, 2)
+        tau_mean = interarrival.mean_xi_given_tau(p, 1e306)
+        assert counting.mean_xi_given_count(p, 1e306, [2]).tolist() == [count_mean]
+        assert interarrival.mean_xi_given_tau(p, [1e306]).tolist() == [tau_mean]
+    c = 1e306
+    ref = _kernel_reference(p.a, p.lam, 3, c) / _kernel_reference(p.a, p.lam, 2, c)
+    assert count_mean == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+    assert count_mean == pytest.approx(3e-306, rel=1e-12, abs=0.0)
+    c = p.lam + 1e306
+    ref = _kernel_reference(p.a, p.lam, 2, c) / _kernel_reference(p.a, p.lam, 1, c)
+    assert tau_mean == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+    assert tau_mean == pytest.approx(2e-306, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("params", [P11, P110] + CORNER_GRID, ids=str)
+def test_erlang_pdf_masked_points_keep_the_bits_of_positive_ones(params):
+    # an array holding 0, -1, NaN or inf takes the masked path; its positive
+    # finite points keep the bits of the all-positive array, which does not
+    ts = np.geomspace(1e-3, 1e3, 40)
+    odd = np.array([0.0, -1.0, math.nan, math.inf, -math.inf])
+    mixed = np.insert(ts, [0, 7, 13, 29, 40], odd)
+    inside = (mixed > 0.0) & (mixed < math.inf)
+    for n in (1, 2, 7, 20):
+        out = interarrival.erlang_pdf(params, n, mixed)
+        assert out[inside].tolist() == interarrival.erlang_pdf(params, n, ts).tolist(), n
+        assert out[~inside & ~np.isnan(mixed)].tolist() == [0.0] * 4
+        assert np.isnan(out[np.isnan(mixed)]).all()
+
+
+def test_count_pmf_as_its_log_factorial_table_grows(monkeypatch):
+    # the table of log n! starts empty and grows with the largest count seen;
+    # counts past its cap take math.lgamma one by one
+    monkeypatch.setattr(counting, "_log_factorial_table", np.zeros(0))
+    cap = counting._LOG_FACTORIAL_CAP
+    lam1 = P11.lam + 1.0
+
+    def direct(ns):
+        log_factorials = np.array([math.lgamma(k + 1.0) for k in ns.tolist()])
+        return np.exp(log_mixing_kernel(P11, ns, lam1) - log_factorials).tolist()
+
+    for ns in (np.arange(10), np.arange(3000), np.arange(10), np.array([5, cap + 7, 0, cap])):
+        assert count_pmf(P11, ns).tolist() == direct(ns), ns.size
+    assert counting._log_factorial_table.size == cap
+    assert count_pmf(P11, cap + 7) == direct(np.array([cap + 7]))[0]
+
+
+# --------------------------------------------------------------------------
 # The kernel's own sums: routes A (z < s + 1) and B (z >= s + 1), s <= 127
 
 

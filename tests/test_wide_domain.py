@@ -101,7 +101,7 @@ def test_erlang_density_is_the_count_law_at_the_scaled_parameters(params, n, t):
     p_n = count_pmf(scale(params, t), n)
     # a subnormal p_n has lost bits before n/t can bring it back to range
     if _normal(density, p_n, n / t * p_n):
-        assert density == pytest.approx(n / t * p_n, rel=1e-12)
+        assert density == pytest.approx(n / t * p_n, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -112,7 +112,7 @@ def test_posterior_mean_is_a_ratio_of_count_probabilities(params, n, mu_t):
     p_n, p_next = count_pmf(scaled, n), count_pmf(scaled, n + 1)
     mean = mean_xi_given_count(params, mu_t, n)
     if _normal(p_n, p_next, mean):
-        assert mean == pytest.approx((n + 1) * p_next / (mu_t * p_n), rel=1e-12)
+        assert mean == pytest.approx((n + 1) * p_next / (mu_t * p_n), rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -121,7 +121,7 @@ def test_no_arrival_is_the_transform_at_the_intensity(params, mu_t):
     # P(N(t) = 0) = E e^(-mu xi), the count law at scale(p, mu) and unit intensity
     p_0, transform = count_pmf(scale(params, mu_t), 0), lst(params, mu_t)
     if _normal(p_0, transform):
-        assert p_0 == pytest.approx(transform, rel=1e-12)
+        assert p_0 == pytest.approx(transform, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -130,7 +130,7 @@ def test_waiting_time_density_is_the_first_epoch_density(params, t):
     # tau = T_1
     density, first = tau_pdf(params, t), erlang_pdf(params, 1, t)
     if _normal(density, first):
-        assert density == pytest.approx(first, rel=1e-12)
+        assert density == pytest.approx(first, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -140,7 +140,7 @@ def test_waiting_time_survival_is_the_transform(params, t):
     # cancel
     transform = lst(params, t)
     if transform >= 0.5:
-        assert 1.0 - tau_cdf(params, t) == pytest.approx(transform, rel=1e-12)
+        assert 1.0 - tau_cdf(params, t) == pytest.approx(transform, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -149,7 +149,7 @@ def test_pgf_is_the_transform_at_the_thinned_intensity(params, mu_t, z):
     # E z^N = E e^(-mu xi (1 - z))
     value, transform = pgf(params, mu_t, z), lst(params, mu_t * (1.0 - z))
     if _normal(value, transform):
-        assert value == pytest.approx(transform, rel=1e-12)
+        assert value == pytest.approx(transform, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -158,7 +158,7 @@ def test_factorial_moments_are_raw_moments_of_the_poisson_mean(params, mu_t, k):
     # E(N)_k = E (mu xi)^k; mu^k is at most 1e240 here, so it is finite
     value, raw = factorial_moment(params, mu_t, k), raw_moment(params, k)
     if _normal(value, raw, mu_t**k * raw):
-        assert value == pytest.approx(mu_t**k * raw, rel=1e-12)
+        assert value == pytest.approx(mu_t**k * raw, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=400, deadline=None)
