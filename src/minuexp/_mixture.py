@@ -16,12 +16,12 @@ density use integer s; the moments use c = lambda:
     arrival-epoch moment E(T_n^p)    = Gamma(p+n)/Gamma(n) J(-p, lambda)
 
 Write z = ac, theta = lambda a and q = lambda a c + c - lambda (s+1), so
-that a q = theta (z - s - 1) + z.  Each element takes one of three routes,
+that a q = theta (z - s - 1) + z.  Each element takes one of four routes,
 chosen by its own (s, z) and the call's theta:
 
-* Route A, z < s + 1 and s <= 127, any real s.  Substituting x = a u in
-  the defining integral and expanding e^(z (1-u)) gives Kummer's
-  transformation (A&S 13.1.27, DLMF 13.2.39): with b = s + 2,
+* Route A, z < s + 1, any real s.  Substituting x = a u in the defining
+  integral and expanding e^(z (1-u)) gives Kummer's transformation
+  (A&S 13.1.27, DLMF 13.2.39): with b = s + 2,
 
       J = a^s e^(-z) / (s+1) * sum_k z^k / (b)_k [1 + theta (k+1)/(b+k)]
         = a^s e^(-z) / (s+1) * (P0(z) + theta P1(z)),
@@ -30,11 +30,19 @@ chosen by its own (s, z) and the call's theta:
 
   so log J = s log a - log(s+1) - z + log(P0 + theta P1), a sum of
   positive terms.  This is the region where q can be negative and the
-  two terms of the closed form cancel.  The sum is taken by Horner over
-  d_k = c0_k + theta c1_k; where theta > 1 it is taken over theta, on
-  d_k = c0_k/theta + c1_k, and log theta is added, so that it does not
-  overflow at any finite theta: every ratio z/(b+k) is below 1 here and
-  c1_k <= c0_k, so P0 and P1 are both below b/(b-z) < b.
+  two terms of the closed form cancel.  Where theta > 1 the sum is taken
+  over theta and log theta is added, so that it does not overflow at any
+  finite theta: every ratio z/(b+k) is below 1 here and c1_k <= c0_k, so
+  P0 and P1 are both below b/(b-z) < b.  Integer orders up to 127 sum it
+  by Horner over their tables; other orders by the series engine of
+  minuexp.gamma_kernel, whose terms are P0's, the incomplete gamma's
+  ascending series at order s + 1, with weights 1 + theta (k+1)/(b+k).
+  The engine's passes are most at z just below s + 1 and grow like
+  sqrt(s) there (106 at s = 127, 272 at s = 1000, 819 at s = 10^4 at
+  theta = 1).  Elements not absorbed at its cap of 10 000 passes take
+  route C: they lie at orders above about 1.6e6, with z within 0.09 % of
+  s + 1 at s = 2e6 and 0.35 % at the largest orders.  Route C's error
+  there was about 3e-15 of log J at s = 2e6 and 1e7.
 * Route B, z >= s + 1 and integer s <= 127.  The finite Poisson
   sum (DLMF 8.4.10), gamma(s+1, z) = s! (1 - e^E S) with
 
@@ -60,22 +68,30 @@ chosen by its own (s, z) and the call's theta:
   elements are zeroed after.  There z > s + 695, so theta/g and S are
   both below 1.2 and the dropped term is under 1e-303.  lgamma is the
   exact sum (math.fsum) of the rounded logs of 2..s, built with the
-  route-B tables.  Where z = ac overflows at finite c, the limit z -> inf
-  is taken: g = theta + 1 and e^E = 0, so
+  route-B tables.
+* The limit of route B, where z = ac overflows at finite c, any order:
+  as z -> inf, g -> theta + 1 and e^E -> 0, so
 
-      log J = lgamma(s+1) - log a - (s+1) log c + log(theta + 1).
-* Route C, everything else: orders above 127, non-integer orders with
-  z >= s + 1, and theta = inf.  At those orders an overflowing z still
-  gives NaN, an open defect: q = lambda a c + c - lambda (s+1) forms
-  inf - inf there.  The incomplete gamma of
-  minuexp.gamma_kernel and the sign-tracked combine of the two terms:
-  with l1 = log|t1|, l2 = log t2 and m = max(l1, l2),
+      log J = lgamma(s+1) - log a - (s+1) log c + log(theta + 1),
 
-      log J = m + log(max(sign(q) e^(l1-m) + e^(l2-m), 0))
+  with lgamma(s+1) from the route-B tables at integer s <= 127 and
+  math.lgamma otherwise.
+* Route C: z >= s + 1 at real orders and orders above 127, route A's
+  elements left at the engine's cap, and every element where theta = inf.
+  The incomplete gamma of minuexp.gamma_kernel at (s + 1, z) and the
+  sign-tracked combine of the two terms, with log|q| = log c + log|g|
+  and route B's g, so that lambda a c is never formed: with
+  l1 = log|t1|, l2 = log t2 and m = max(l1, l2),
 
-  At q = 0 the t1 term drops out exactly.  Where q < 0 and rounding
-  leaves the sum non-positive, the clamp gives log J = -inf (J = 0), never
-  NaN.  There is no branch on the sign of q.
+      log J = m + log(max(sign(g) e^(l1-m) + e^(l2-m), 0))
+
+  Where z >= s + 1, g >= 1 and both terms are positive; only the cap band
+  holds negative g.  At g = 0 the t1 term drops out exactly.  Where
+  rounding leaves the sum non-positive, the clamp gives log J = -inf
+  (J = 0), never NaN.  There is no branch on the sign of g.  In the cap
+  band the regularized incomplete gamma is 1e-21 or more up to s = 1e7,
+  but it underflows from orders of about 1e8 on, where those elements are
+  NaN with a RuntimeWarning.
 
 Table lengths.  Both sums run over coefficient tables whose length
 depends on the order alone.  Route A keeps K(s) terms: the fewest after
@@ -97,10 +113,9 @@ cache is bounded:
 * _integer_tables, keyed by route: the tables of the 128 integer orders
   of that route, built in one go (about 2 ms), 225 kB for route A and
   131 kB for route B;
-* _table, keyed by (route, order), at most 384 orders (the integer orders
-  of both routes and 128 real ones): an integer order's column of the
-  above, or a real order's own route-A table (1.8 kB);
-* _rows, keyed by (route, order), at most 384 orders: the same
+* _table, keyed by (route, order), at most 256 orders: an integer order's
+  column of the above;
+* _rows, keyed by (route, order), at most 256 orders: the same
   coefficients as lists of Python floats for the scalar path, about
   32 bytes each, so at most 7 kB per route-A order and 4 kB per route-B
   order; the 256 integer orders take about 1 MB (680 kB of route A and
@@ -114,9 +129,9 @@ arrays are they broadcast against each other and flattened; a single
 order or a single tilt stays a float.  z = ac and z < s + 1 are formed
 once per call.  A route that takes every element runs on the inputs as
 they are.  Otherwise each route takes its elements by index, and only
-the arguments it reads (route A never reads c), and its results are put
-back by index.  Each Horner pass is one multiply and one add, highest
-coefficient first:
+the arguments it reads (the tables of route A never read c), and its
+results are put back by index.  Each Horner pass is one multiply and one
+add, highest coefficient first:
 
 * a scalar order over an array of c (as erlang_pdf calls it) runs its own
   table, the coefficients d_k formed once as floats;
@@ -128,19 +143,18 @@ coefficient first:
   orders times table length, not elements times length: with one c the
   sums run over the columns, which the elements then take, and otherwise
   each pass takes its coefficients by each element's column;
-* a call with 0-d s and c takes a scalar path that runs the same passes,
-  and the rest of the same operations, on Python floats, whose + - * /
-  are the IEEE operations numpy applies to each array element.  Route A
-  forms each d_k inside its Horner loop from the order's cached rows,
-  never as a numpy operation: each of those on a 0-d array or a short
-  row costs a microsecond or more.  Its exp, log and log1p are np.exp,
-  np.log and np.log1p applied to floats, never math's: those can differ
-  from numpy's in the last bit (math.exp did at s = 1), and the scalar
-  path must give the bits of the same point inside an array.  log(s+1)
-  and lgamma(s+1) come with each order's table, and log a and log theta
-  are taken once per call on floats in every path.  Route C at q = 0
-  takes log|q| = -inf without calling np.log, where the array path
-  silences the divide warning instead.
+* the series engine gives each element the bits of its own sum, whatever
+  the call's shape (see minuexp.gamma_kernel);
+* a call with 0-d s and c takes a scalar path on Python floats, whose
+  + - * / are the IEEE operations numpy applies to each array element.
+  Routes A and B run the same passes and operations there, each d_k
+  formed inside the Horner loop from the order's cached rows, never as a
+  numpy operation: each of those on a 0-d array or a short row costs a
+  microsecond or more.  Their exp, log and log1p are np.exp, np.log and
+  np.log1p applied to floats, never math's: those can differ from
+  numpy's in the last bit (math.exp did at s = 1), and the scalar path
+  must give the bits of the same point inside an array.  The series
+  engine, route C and the limit run their array functions on floats.
 
 The module also holds B(x) = x - 1 + e^(-x), A(x) = x - 2 + (x + 2) e^(-x)
 and C(x) = 1 - (1 + x) e^(-x) without cancellation (_stable_B, _stable_A,
@@ -161,14 +175,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gamma_kernel import _ABSORBED, log_lower_incomplete_gamma
+from .gamma_kernel import _ABSORBED, _ascending, _log_lower_incomplete_gamma, _weights
 
 if TYPE_CHECKING:
     from .structure import MinUExpParams
 
 __all__ = ["log_mixing_kernel", "mixing_kernel"]
 
-# Orders up to this take the kernel's own sums (routes A and B).
+# Integer orders up to this take the kernel's tables (routes A and B).
 _OWN_MAX_ORDER = 127
 # Route-A tables are sized over this many terms and keep K(s) of them, at
 # most K(127) = _KUMMER_WIDTH; tests/test_mixture_kernel.py re-derives both.
@@ -178,9 +192,6 @@ _KUMMER_WIDTH = 110
 _POISSON_WIDTH = _OWN_MAX_ORDER + 1
 # Below this, e^E is under 1e-304 and route B takes it as exactly 0.
 _EXP_FLOOR = -700.0
-# Orders whose tables are kept: the 128 integer orders of each route and as
-# many real orders of route A.
-_TABLE_CACHE = 3 * _POISSON_WIDTH
 
 _SERIES_CUTOFF = 1.0
 # Alternating Taylor coefficients of B(x) and A(x) summed below the cutoff;
@@ -199,7 +210,7 @@ def _is_scalar(value) -> bool:
 
 
 # --------------------------------------------------------------------------
-# coefficient tables, cached per order
+# coefficient tables of the integer orders 0..127, cached
 
 
 def _kummer_tables(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -259,19 +270,16 @@ def _integer_tables(builder):
     return builder(np.arange(_OWN_MAX_ORDER + 1.0))
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE)
+@functools.lru_cache(maxsize=2 * _POISSON_WIDTH)
 def _table(builder, s: float) -> tuple[np.ndarray, int, float]:
-    """builder's table of one order, its count and its constant: a column of
-    the integer orders' tables, or built alone for a real order."""
-    if s.is_integer():
-        tables, column = _integer_tables(builder), int(s)
-    else:
-        tables, column = builder(np.array([s])), 0
-    table, counts, consts = tables
+    """builder's table of one integer order (its column of the integer
+    orders' tables), its count and its constant."""
+    table, counts, consts = _integer_tables(builder)
+    column = int(s)
     return table[..., column], int(counts[column]), float(consts[column])
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE)
+@functools.lru_cache(maxsize=2 * _POISSON_WIDTH)
 def _rows(builder, s: float) -> tuple[list, float]:
     """_table's coefficients of one order as Python floats, trimmed to its
     count, and its constant: what the scalar path sums over."""
@@ -280,28 +288,32 @@ def _rows(builder, s: float) -> tuple[list, float]:
 
 
 def _tables(builder, s):
-    """The coefficients, the constant and the column index of order s.
+    """The coefficients, the constant and the column index of integer order
+    s, or of each element of an array of them.
 
     A scalar order gets its own table, its constant and None.  An array of
-    orders gets the tables of all integer orders, or of its unique orders
-    where some are not integers, stacked with one column per order, the
-    constants of its elements and each element's column.  The rows are
-    trimmed to the longest table the orders need.
+    orders gets the tables of all integer orders, stacked with one column
+    per order, the constants of its elements and each element's column.
+    The rows are trimmed to the longest table the orders need.
     """
     if isinstance(s, float):
         table, count, const = _table(builder, s)
         return table[..., table.shape[-1] - count :], const, None
-    if (s == np.floor(s)).all():
-        table, counts, consts = _integer_tables(builder)
-        which = s.astype(np.intp)
-        count = int(counts.take(which).max())
-    else:
-        orders, which = np.unique(s, return_inverse=True)
-        found = [_table(builder, v) for v in orders.tolist()]
-        table = np.stack([f[0] for f in found], axis=-1)
-        count = max(f[1] for f in found)
-        consts = np.array([f[2] for f in found])
+    table, counts, consts = _integer_tables(builder)
+    which = s.astype(np.intp)
+    count = int(counts.take(which).max())
     return table[..., table.shape[-2] - count :, :], consts.take(which), which
+
+
+def _log_factorial(s: float) -> float:
+    """lgamma(s + 1): route B's table at integer s <= 127, math.lgamma
+    otherwise, inf where that overflows."""
+    if s <= _OWN_MAX_ORDER and s.is_integer():
+        return _table(_poisson_tables, s)[2]
+    try:
+        return math.lgamma(s + 1.0)
+    except OverflowError:
+        return math.inf
 
 
 # --------------------------------------------------------------------------
@@ -352,47 +364,42 @@ def _horner_one(coef: list, x: float) -> float:
 
 
 # --------------------------------------------------------------------------
-# the three routes
-
-
-def _kummer_coef(table: np.ndarray, theta: float) -> tuple[np.ndarray, float]:
-    """Route A's Horner coefficients d_k and the log of the factor taken out
-    of its sum: d_k = c0_k + theta c1_k where theta <= 1, and
-    c0_k / theta + c1_k, for the sum over theta, otherwise.  Neither sum
-    then overflows at any finite theta."""
-    if theta <= 1.0:
-        return table[0] + theta * table[1], 0.0
-    return table[0] / theta + table[1], math.log(theta)
+# the routes
 
 
 def _log_kummer(log_a: float, theta: float, s, z) -> np.ndarray:
-    """Route A, z < s + 1: log J = s log a - log(s+1) - z + log sum."""
+    """Route A on the tables, z < s + 1 at integer s <= 127:
+    log J = s log a - log(s+1) - z + log sum, the sum by Horner over
+    d_k = u c0_k + v c1_k with the engine's weights (u, v)."""
     table, log_s1, which = _tables(_kummer_tables, s)
-    coef, log_out = _kummer_coef(table, theta)
-    total = _horner(coef, z, which)
+    u, v, log_out = _weights(theta)
+    total = _horner(u * table[0] + v * table[1], z, which)
     return s * log_a - log_s1 + log_out - z + np.log(total)
 
 
 def _log_kummer_one(log_a: float, theta: float, s: float, z: float) -> float:
-    """_log_kummer at one element, on Python floats: _kummer_coef's d_k is
-    formed inside the Horner loop, from the order's cached rows, in the
+    """_log_kummer at one element, on Python floats: each d_k is formed
+    inside the Horner loop, from the order's cached rows, in the
     operations numpy applies to each element."""
     (c0, c1), log_s1 = _rows(_kummer_tables, s)
+    u, v, log_out = _weights(theta)
     # 0 z + d_0 = d_0 exactly at the finite z of route A
     total = 0.0
-    if theta <= 1.0:
-        log_out = 0.0
-        for u, v in zip(c0, c1):
-            total = total * z + (u + theta * v)
-    else:
-        log_out = math.log(theta)
-        for u, v in zip(c0, c1):
-            total = total * z + (u / theta + v)
+    for p, q in zip(c0, c1):
+        total = total * z + (u * p + v * q)
     return s * log_a - log_s1 + log_out - z + float(np.log(total))
 
 
+def _log_kummer_series(log_a: float, theta: float, s, z):
+    """Route A by the gamma kernel's series engine at gamma order s + 1, for
+    real orders and orders above 127, with the same log J as _log_kummer;
+    NaN where the series has not converged at its cap."""
+    sums = _ascending(s + 1.0, z, theta)
+    return s * log_a - np.log(s + 1.0) + _weights(theta)[2] - z + np.log(sums)
+
+
 def _log_poisson(log_a: float, theta: float, s, z, c) -> np.ndarray:
-    """Route B, finite z >= s + 1 and integer s: with
+    """Route B, finite z >= s + 1 and integer s <= 127: with
     E = s log z - z - lgamma(s+1), S = sum_j s!/(s-j)! z^-j and
     g = theta (z - s - 1)/z + 1 = q / c,
 
@@ -411,18 +418,9 @@ def _log_poisson(log_a: float, theta: float, s, z, c) -> np.ndarray:
     )
 
 
-def _log_poisson_limit(log_a: float, theta: float, s, c) -> np.ndarray:
-    """Route B where z = ac overflows at finite c: there g = theta + 1 and
-    e^E = 0, so log J = lgamma(s+1) - log a - (s+1) log c + log(theta + 1)."""
-    lgamma = _tables(_poisson_tables, s)[1]
-    return lgamma - log_a - (s + 1.0) * np.log(c) + np.log(theta + 1.0)
-
-
 def _log_poisson_one(log_a: float, theta: float, s: float, z: float, c: float) -> float:
-    """_log_poisson, or its limit at z = inf, at one element, on Python floats."""
+    """_log_poisson at one element, on Python floats."""
     coef, lgamma = _rows(_poisson_tables, s)
-    if z == math.inf:
-        return lgamma - log_a - (s + 1.0) * float(np.log(c)) + float(np.log(theta + 1.0))
     total = _horner_one(coef, 1.0 / z)
     log_z = float(np.log(z))
     e = s * log_z - z - lgamma
@@ -437,38 +435,33 @@ def _log_poisson_one(log_a: float, theta: float, s: float, z: float, c: float) -
     )
 
 
-def _log_combine(a: float, lam: float, s, c) -> np.ndarray:
-    """Route C: the incomplete gamma and the sign-tracked combine."""
-    log_c = np.log(c)
-    q = lam * a * c + c - lam * (s + 1.0)
+def _log_limit(log_a: float, theta: float, s, c):
+    """Where z = ac overflows at finite c, any order: the limit z -> inf of
+    route B, g = theta + 1 and e^E = 0, so
+    log J = lgamma(s+1) - log a - (s+1) log c + log(theta + 1)."""
+    if isinstance(s, float):
+        lgamma = _log_factorial(s)
+    else:
+        lgamma = np.array([_log_factorial(v) for v in s.tolist()])
+    return lgamma - log_a - (s + 1.0) * np.log(c) + np.log(theta + 1.0)
+
+
+def _log_combine(a: float, lam: float, s, z, c):
+    """Route C: the incomplete gamma and the sign-tracked combine, with
+    q = c g and route B's g = theta (z - s - 1)/z + 1."""
+    log_a, log_c = np.log(a), np.log(c)
+    g = lam * a * ((z - (s + 1.0)) / z) + 1.0
     with np.errstate(divide="ignore"):
-        log_abs_q = np.log(np.abs(q))
-    log_abs_t1 = (
-        log_lower_incomplete_gamma(s + 1.0, a * c) + log_abs_q - np.log(a) - (s + 2.0) * log_c
-    )
-    log_t2 = np.log(lam) + s * np.log(a) - a * c - log_c
+        log_abs_g = np.log(np.abs(g))
+    log_abs_t1 = _log_lower_incomplete_gamma(s + 1.0, z) + log_abs_g - log_a - (s + 1.0) * log_c
+    log_t2 = np.log(lam) + s * log_a - z - log_c
 
     # shifting by m keeps both exponentials in [0, 1] however far |t1|
-    # exceeds t2 where q > 0
+    # exceeds t2 where g > 0
     with np.errstate(divide="ignore"):
         m = np.maximum(log_abs_t1, log_t2)
-        total = np.copysign(np.exp(log_abs_t1 - m), q) + np.exp(log_t2 - m)
+        total = np.copysign(np.exp(log_abs_t1 - m), g) + np.exp(log_t2 - m)
         return m + np.log(np.maximum(total, 0.0))
-
-
-def _log_combine_one(a: float, lam: float, s: float, c: float) -> float:
-    """_log_combine at one element, on Python floats."""
-    log_a, log_c = float(np.log(a)), float(np.log(c))
-    q = lam * a * c + c - lam * (s + 1.0)
-    log_abs_q = float(np.log(abs(q))) if q != 0.0 else -math.inf
-    log_abs_t1 = (
-        log_lower_incomplete_gamma(s + 1.0, a * c) + log_abs_q - log_a - (s + 2.0) * log_c
-    )
-    log_t2 = float(np.log(lam)) + s * log_a - a * c - log_c
-    # np.maximum's choice, NaN included, without its microsecond
-    m = log_abs_t1 if log_abs_t1 >= log_t2 or log_abs_t1 != log_abs_t1 else log_t2
-    total = math.copysign(float(np.exp(log_abs_t1 - m)), q) + float(np.exp(log_t2 - m))
-    return m + (float(np.log(total)) if not total <= 0.0 else -math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -498,12 +491,8 @@ def _pick(value, index):
 
 
 def log_mixing_kernel(params: MinUExpParams, s, c):
-    """log J(s, c) for real order s > -1 and c > 0; broadcasts s against c.
-
-    Where z = ac overflows at finite c, integer orders up to 127 take
-    route B's limit; other orders there still give NaN (see the module
-    docstring).
-    """
+    """log J(s, c) for real order s > -1 and c > 0; broadcasts s against c
+    (see the module docstring for its routes)."""
     a, lam = params.a, params.lam
     s, c = _as_float(s), _as_float(c)
     if isinstance(s, float) and isinstance(c, float):
@@ -514,11 +503,8 @@ def log_mixing_kernel(params: MinUExpParams, s, c):
     c_low, c_high = _span(c)
     if not (c_low > 0.0 and c_high < math.inf):
         raise ValueError(_C_DOMAIN)
-    theta = lam * a
-    empty = s_low > s_high or c_low > c_high
-    if empty or not (theta < math.inf and s_low <= _OWN_MAX_ORDER):
-        out = _log_combine(a, lam, s, c)
-        return out if out.ndim else float(out)
+    if s_low > s_high or c_low > c_high:
+        return np.empty(np.broadcast_shapes(np.shape(s), np.shape(c)))
 
     # flat views; only two arrays are broadcast against each other
     if isinstance(s, float):
@@ -535,49 +521,64 @@ def log_mixing_kernel(params: MinUExpParams, s, c):
     else:
         with np.errstate(over="ignore"):
             z = a * c
+    theta = lam * a
+    if not theta < math.inf:
+        return _log_combine(a, lam, s, z, c).reshape(shape)
 
-    # route A where z < s + 1, route B at integer s where z >= s + 1, with
-    # its limit where z = inf, both for s <= 127 only; route C the rest.
-    # Each route is (its elements, their count, the route on the elements
-    # an index picks), and reads only its own arguments.
+    # route A where z < s + 1, on the tables at integer s <= 127 and by the
+    # series otherwise; route B at integer s <= 127 where z >= s + 1, route
+    # C at the other orders there, and the limit of route B where z = inf.
+    # Each route is (its elements, the route on the elements an index
+    # picks), and reads only its own arguments.
     log_a = math.log(a)
-    below = z < s + 1.0
-    if s_high > _OWN_MAX_ORDER:
-        own = s <= _OWN_MAX_ORDER
-        below &= own
-    size = below.size
-    routes = [
-        (below, np.count_nonzero(below),
-         lambda i: _log_kummer(log_a, theta, _pick(s, i), _pick(z, i))),
-    ]
-    if routes[0][1] < size and (not isinstance(s, float) or s.is_integer()):
-        above = ~below
+    if isinstance(s, float):
+        own = s <= _OWN_MAX_ORDER and s.is_integer()
+    else:
+        own = s == np.floor(s)
         if s_high > _OWN_MAX_ORDER:
-            above &= own
-        if not isinstance(s, float):
-            above &= s == np.floor(s)
-        if z_high == math.inf:
-            limit = above & (z == math.inf)
-            above &= ~limit
-            routes.append((limit, np.count_nonzero(limit),
-                           lambda i: _log_poisson_limit(log_a, theta, _pick(s, i), _pick(c, i))))
-        routes.append((above, np.count_nonzero(above),
-                       lambda i: _log_poisson(log_a, theta, _pick(s, i), _pick(z, i), _pick(c, i))))
-    taken = sum(count for _, count, _ in routes)
-    if taken < size:
-        other = below.copy()
-        for mask, _, _ in routes[1:]:
-            other |= mask
-        np.logical_not(other, out=other)
-        routes.append((other, size - taken,
-                       lambda i: _log_combine(a, lam, _pick(s, i), _pick(c, i))))
-    whole = [route for _, count, route in routes if count == size]
-    if whole:
+            own &= s <= _OWN_MAX_ORDER
+        if own.all():
+            own = True
+        elif not own.any():
+            own = False
+
+    def tables(i):
+        return _log_kummer(log_a, theta, _pick(s, i), _pick(z, i))
+
+    def series(i):
+        # route C takes the elements the series leaves at its cap
+        out = _log_kummer_series(log_a, theta, _pick(s, i), _pick(z, i))
+        stuck = np.flatnonzero(np.isnan(out))
+        if stuck.size:
+            out[stuck] = combine(stuck if i is None else i.take(stuck))
+        return out
+
+    def poisson(i):
+        return _log_poisson(log_a, theta, _pick(s, i), _pick(z, i), _pick(c, i))
+
+    def combine(i):
+        return _log_combine(a, lam, _pick(s, i), _pick(z, i), _pick(c, i))
+
+    below = z < s + 1.0
+    above = ~below
+    routes = []
+    if z_high == math.inf:
+        limit = (z == math.inf) & above
+        above &= ~limit
+        routes.append((limit, lambda i: _log_limit(log_a, theta, _pick(s, i), _pick(c, i))))
+    if isinstance(own, bool):
+        routes += [(below, tables if own else series), (above, poisson if own else combine)]
+    else:
+        routes += [(below & own, tables), (below & ~own, series),
+                   (above & own, poisson), (above & ~own, combine)]
+    counts = [np.count_nonzero(mask) for mask, _ in routes]
+    size = below.size
+    if size in counts:
         # one route takes every element, on the inputs as they are
-        out = whole[0](None)
+        out = routes[counts.index(size)][1](None)
     else:
         out = np.empty(size)
-        for mask, count, route in routes:
+        for (mask, route), count in zip(routes, counts):
             if count:
                 index = np.flatnonzero(mask)
                 out[index] = route(index)
@@ -592,12 +593,19 @@ def _log_mixing_kernel_one(a: float, lam: float, s: float, c: float) -> float:
     if not 0.0 < c < math.inf:
         raise ValueError(_C_DOMAIN)
     z, theta = a * c, lam * a
-    if s <= _OWN_MAX_ORDER and theta < math.inf:
+    if theta < math.inf:
+        own = s <= _OWN_MAX_ORDER and s.is_integer()
         if z < s + 1.0:
-            return _log_kummer_one(math.log(a), theta, s, z)
-        if s.is_integer():
+            if own:
+                return _log_kummer_one(math.log(a), theta, s, z)
+            value = float(_log_kummer_series(math.log(a), theta, s, z))
+            if value == value:
+                return value
+        elif z == math.inf:
+            return float(_log_limit(math.log(a), theta, s, c))
+        elif own:
             return _log_poisson_one(math.log(a), theta, s, z, c)
-    return _log_combine_one(a, lam, s, c)
+    return float(_log_combine(a, lam, s, z, c))
 
 
 def mixing_kernel(params: MinUExpParams, s, c):

@@ -361,19 +361,19 @@ _COLD_START_TABLE = {
         (),
         ("scipy",),
     ),
-    # orders 151..154, past x = 114.4 and past the sum's cap: every element
-    # takes the converged ascending series
+    # orders 150..153 at a (lambda + 1) = 114.4: every element takes the
+    # kernel's route A by its converged series
     "eval-count-pmf-large-a-deep": (
         "minuexp.cli",
         ("eval", "--fn", "count-pmf", "--a", "110", "--lambda", "0.04", "--n", "150..153"),
         (),
         ("scipy",),
     ),
-    # a (lambda + 1) = 208, past the series' cap on x, with orders 301..304
-    # past it: the kernel needs scipy.special, and only it
+    # orders 150..153 past 127 at a (lambda + 1) = 208, above the order plus
+    # one: the kernel's route C needs scipy.special, and only it
     "eval-count-pmf-large-x": (
         "minuexp.cli",
-        ("eval", "--fn", "count-pmf", "--a", "200", "--lambda", "0.04", "--n", "300..303"),
+        ("eval", "--fn", "count-pmf", "--a", "200", "--lambda", "0.04", "--n", "150..153"),
         ("scipy.special",),
         ("scipy.optimize",),
     ),

@@ -1,8 +1,9 @@
-"""Incomplete gamma layer: examples, identities, extreme-argument paths, and
-its two routes: the converged ascending series, which serves x <= 8,
-8 < x < s with x <= 128, and the elements where scipy's regularized
-function underflows, with NaN and a warning past its cap; and scipy's
-regularized function everywhere else."""
+"""Incomplete gamma layer and the series engine it shares with the mixing
+kernel: examples, identities and extreme arguments; the engine's stop rule,
+drop of absorbed elements and cap, at theta = 0 (the gamma series) and
+theta > 0 (Kummer's series of the mixing kernel); and the two routes of the
+incomplete gamma, the series at x <= 8 and scipy's regularized function
+above it, NaN with a warning where that underflows."""
 
 import json
 import math
@@ -25,7 +26,7 @@ from minuexp import (
     gamma_kernel,
     mean_xi_given_count,
 )
-from minuexp.gamma_kernel import log_lower_incomplete_gamma
+from minuexp.gamma_kernel import _log_lower_incomplete_gamma as log_lower_incomplete_gamma
 
 S_GRID = [0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]
 X_GRID = [0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0]
@@ -40,7 +41,7 @@ def lower_incomplete_gamma(s, x):
 
 def test_lower_gamma_shape_one_closed_form():
     for x in (0.0, 0.3, 1.0, 4.0, 50.0):
-        assert lower_incomplete_gamma(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-14)
+        assert lower_incomplete_gamma(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-14, abs=0.0)
 
 
 def test_lower_gamma_at_zero_limit_is_zero():
@@ -51,9 +52,9 @@ def test_lower_gamma_at_zero_limit_is_zero():
 def test_lower_gamma_2_2_against_quadrature_oracle():
     oracle, err = integrate.quad(lambda u: u * math.exp(-u), 0.0, 2.0, epsabs=1e-14)
     assert err < 1e-12
-    assert lower_incomplete_gamma(2.0, 2.0) == pytest.approx(oracle, rel=1e-13)
+    assert lower_incomplete_gamma(2.0, 2.0) == pytest.approx(oracle, rel=1e-13, abs=0.0)
     # same value through the first-order recurrence gamma(2,x) = 1 - e^-x (1+x)
-    assert lower_incomplete_gamma(2.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0) * 3.0, rel=1e-14)
+    assert lower_incomplete_gamma(2.0, 2.0) == pytest.approx(1.0 - math.exp(-2.0) * 3.0, rel=1e-14, abs=0.0)
 
 
 def test_complement_identity_on_grid():
@@ -62,7 +63,7 @@ def test_complement_identity_on_grid():
     for s in S_GRID:
         for x in X_GRID:
             total = lower_incomplete_gamma(s, x) + float(mpmath.gammainc(s, x, mpmath.inf))
-            assert total == pytest.approx(math.gamma(s), rel=1e-12)
+            assert total == pytest.approx(math.gamma(s), rel=1e-12, abs=0.0)
 
 
 def test_recurrence_identity_on_grid():
@@ -74,7 +75,7 @@ def test_recurrence_identity_on_grid():
             if lhs == 0.0:
                 assert abs(rhs) < 1e-300
             else:
-                assert rhs == pytest.approx(lhs, rel=1e-11)
+                assert rhs == pytest.approx(lhs, rel=1e-11, abs=0.0)
 
 
 def test_monotone_in_x_at_fixed_s():
@@ -89,7 +90,7 @@ def test_accuracy_against_mpmath_reference():
     for s in (0.5, 1.5, 10.0, 30.0, 50.0):
         for x in (0.1, 1.0, 10.0, 100.0, 700.0):
             ref = float(mpmath.gammainc(s, 0, x))
-            assert lower_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-13)
+            assert lower_incomplete_gamma(s, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("s, x", [(200.0, 1.0), (172.0, 50.0)])
@@ -100,7 +101,7 @@ def test_orders_past_gamma_overflow(s, x):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = lower_incomplete_gamma(s, x)
-    assert value == pytest.approx(ref, rel=1e-12)
+    assert value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_domain_errors():
@@ -121,13 +122,36 @@ def test_log_variant_matches_direct_in_ordinary_range():
             assert log_lower_incomplete_gamma(s, x) == pytest.approx(direct, abs=1e-12)
 
 
-def test_log_variant_survives_underflow_regime():
-    # the regularized function underflows around x << s for large s
+def test_series_serves_any_order_at_x_up_to_8():
+    # the regularized function underflows at x << s for large s; at x <= 8
+    # the series has no such limit
     mpmath.mp.dps = 60
-    for s, x in ((200.0, 2.0), (500.0, 10.0), (1000.0, 3.0)):
+    for s, x in ((200.0, 2.0), (500.0, 8.0), (1000.0, 3.0)):
+        assert special.gammainc(s, x) <= gamma_kernel._REGULARIZED_FLOOR
         ref = float(mpmath.log(mpmath.gammainc(s, 0, x)))
         got = log_lower_incomplete_gamma(s, x)
-        assert got == pytest.approx(ref, rel=1e-12)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+UNDERFLOW_WARNING = "regularized incomplete gamma at or below 1e-290"
+
+
+def test_regularized_underflow_is_nan_with_one_warning():
+    # above x = 8 far below the order the regularized function is too close
+    # to underflow to take a log of: NaN and a warning, never -inf or a
+    # finite number
+    s, x = 500.0, 10.0
+    assert special.gammainc(s, x) <= gamma_kernel._REGULARIZED_FLOOR
+    with pytest.warns(RuntimeWarning, match=UNDERFLOW_WARNING) as caught:
+        assert math.isnan(log_lower_incomplete_gamma(s, x))
+    assert len(caught) == 1
+    # in an array only the underflowing elements are NaN, with one warning
+    s_mix = np.array([s] * 3 + [40.0] * 17)
+    x_mix = np.array([x] * 3 + [50.0] * 17)
+    with pytest.warns(RuntimeWarning, match=UNDERFLOW_WARNING) as caught:
+        got = log_lower_incomplete_gamma(s_mix, x_mix)
+    assert len(caught) == 1 and np.isnan(got[:3]).all()
+    assert (got[3:] == log_lower_incomplete_gamma(40.0, 50.0)).all()
 
 
 def test_log_variant_vectorized_mixed_regimes():
@@ -137,13 +161,20 @@ def test_log_variant_vectorized_mixed_regimes():
     assert out.shape == (2,)
     assert out[0] == pytest.approx(math.log(lower_incomplete_gamma(2.0, 2.0)), abs=1e-12)
     mpmath.mp.dps = 60
-    assert out[1] == pytest.approx(float(mpmath.log(mpmath.gammainc(400.0, 0, 2.0))), rel=1e-12)
+    assert out[1] == pytest.approx(float(mpmath.log(mpmath.gammainc(400.0, 0, 2.0))), rel=1e-12, abs=0.0)
 
 
-def _log_series_reference(s, x):
+# --------------------------------------------------------------------------
+# The series engine: sum_k T_k w_k run to convergence, at theta = 0 (the
+# gamma series) and theta > 0 (Kummer's series of the mixing kernel)
+
+THETAS = [0.0, 0.3, 1.0, 4.4, 1e6, 1e300]
+
+
+def _series_reference(s, x):
     # a scalar ascending-series loop that stops on a term below 1e-18 of its
-    # sum: later than the kernel's 2^-54 (5.6e-17), and the terms it adds
-    # past the kernel's stop leave every converged sum as it is
+    # sum: later than the engine's 2^-54 (5.6e-17), and the terms it adds
+    # past the engine's stop leave every converged sum as it is
     total = term = 1.0
     k = 1
     while True:
@@ -152,16 +183,26 @@ def _log_series_reference(s, x):
         if term < 1e-18 * total or k > 10_000:
             break
         k += 1
-    return s * np.log(x) - x - np.log(s) + np.log(total)
+    return total
 
 
-SERIES_CAP_WARNING = f"did not converge in {gamma_kernel._SERIES_CAP} terms"
+def _weighted_full(s, x, theta=0.0, passes=3000):
+    # the weighted series by its definition, in the engine's operations, run
+    # far past every element's convergence
+    u, v = (1.0, theta) if theta <= 1.0 else (1.0 / theta, 1.0)
+    d = s + 1.0
+    term, total = 1.0, u + v * (1.0 / d)
+    for k in range(1, passes):
+        term *= x / d
+        d = s + (k + 1)
+        total += term * (u + v * ((k + 1) / d))
+    return total
 
 
-def test_log_variant_series_matches_scalar_loop_exactly():
+def test_series_matches_scalar_loop_exactly():
     rng = np.random.default_rng(20261018)
-    # far below the shape (a few terms), near the underflow boundary
-    # (hundreds to thousands of terms), and past the cap
+    # far below the order (a few terms), near x = s (hundreds to thousands
+    # of terms), and past the cap
     s1 = np.exp(rng.uniform(math.log(200.0), math.log(1e5), 3000))
     x1 = s1 * rng.uniform(0.0, 0.6, s1.size)
     s2 = np.exp(rng.uniform(math.log(1e3), math.log(1e7), 600))
@@ -169,37 +210,34 @@ def test_log_variant_series_matches_scalar_loop_exactly():
     s3 = np.array([1e9, 4e9])
     x3 = s3 - 38.0 * np.sqrt(s3)
     s, x = np.concatenate([s1, s2, s3]), np.concatenate([x1, x2, x3])
+    # the elements whose regularized function underflows: the long sums
     series = (special.gammainc(s, x) <= 1e-290) & (x > 0.0)
     s, x = s[series], x[series]
     assert s.size > 2000 and series[-2:].all()
-    with pytest.warns(RuntimeWarning, match=SERIES_CAP_WARNING) as caught:
-        got = log_lower_incomplete_gamma(s, x)
-    assert len(caught) == 1
-    ref = [_log_series_reference(a, b) for a, b in zip(s[:-2].tolist(), x[:-2].tolist())]
-    assert got[:-2].tolist() == ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gamma_kernel._ascending(s, x)
+    assert got[:-2].tolist() == [_series_reference(a, b) for a, b in zip(s[:-2].tolist(), x[:-2].tolist())]
     # the two elements past the cap have not converged in its terms
     assert np.isnan(got[-2:]).all()
-    for i in range(0, s.size - 2, 97):
-        assert log_lower_incomplete_gamma(float(s[i]), float(x[i])) == got[i]
+    for i in range(0, s.size, 97):
+        assert gamma_kernel._ascending_sum(float(s[i]), float(x[i]))[0] == got[i]
 
 
-def test_series_past_the_cap_is_nan_with_one_warning():
+def test_series_past_the_cap_is_nan_without_a_warning():
     # 38 standard deviations below s = 1e10 the series needs 97 238 terms;
-    # the sum of its first 10^4 leaves gamma 2.2 % low
+    # the sum of its first 10^4 would leave gamma 2.2 % low
     s, x = 1e10, 1e10 - 38.0 * 1e5
-    with pytest.warns(RuntimeWarning, match=SERIES_CAP_WARNING) as caught:
-        assert math.isnan(log_lower_incomplete_gamma(s, x))
-    assert len(caught) == 1
-    with pytest.warns(RuntimeWarning, match=SERIES_CAP_WARNING) as caught:
-        got = log_lower_incomplete_gamma(np.full(20, s), np.linspace(x - 1.0, x, 20))
-    assert len(caught) == 1 and np.isnan(got).all()
-    # in a mixed array only the unconverged element is NaN
-    s_mix = np.array([s] + [900.0] * 19)
-    x_mix = np.array([x] + [150.0] * 19)
-    with pytest.warns(RuntimeWarning, match=SERIES_CAP_WARNING) as caught:
-        got = log_lower_incomplete_gamma(s_mix, x_mix)
-    assert len(caught) == 1 and math.isnan(got[0])
-    assert (got[1:] == log_lower_incomplete_gamma(900.0, 150.0)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (0.0, 4.4):
+            total, passes = gamma_kernel._ascending_sum(s, x, theta)
+            assert math.isnan(total) and passes == gamma_kernel._SERIES_CAP
+            assert np.isnan(gamma_kernel._ascending(s, np.linspace(x - 1.0, x, 20), theta)).all()
+            # in a mixed array only the unconverged element is NaN
+            got = gamma_kernel._ascending(np.array([s] + [900.0] * 19), np.array([x] + [150.0] * 19), theta)
+            assert math.isnan(got[0])
+            assert (got[1:] == gamma_kernel._ascending_sum(900.0, 150.0, theta)[0]).all()
 
 
 def test_series_stops_relative_to_its_sum():
@@ -208,39 +246,53 @@ def test_series_stops_relative_to_its_sum():
     # where a stop at 2^-54 itself would not come before the cap
     s = 1e9
     x = s - 116.0 * math.sqrt(s)
-    assert special.gammainc(s, x) <= gamma_kernel._REGULARIZED_FLOOR
-    ref = _log_series_reference(s, x)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert log_lower_incomplete_gamma(s, x) == ref
-        got = log_lower_incomplete_gamma(np.full(20, s), np.full(20, x))
-        assert (got == ref).all()
     total, passes = gamma_kernel._ascending_sum(s, x)
-    assert total > 250.0 and passes < gamma_kernel._SERIES_CAP
+    assert total == _series_reference(s, x) and total > 250.0
+    assert passes == 8649 < gamma_kernel._SERIES_CAP
+    assert (gamma_kernel._ascending(np.full(20, s), np.full(20, x)) == total).all()
 
 
 @pytest.mark.parametrize(
     "s, x",
     [
-        # the underflow fallback, whose largest x is above its smallest order
+        # orders far apart, whose largest x is above their smallest order
         ([900.0, 1.2e5], [150.0, 1e5]),
-        # the route for 8 < x < s, from an order just above 8 to x at the cap
+        # from an order just above 8 to x near 128
         ([8.5, 129.0], [8.4, 128.0]),
     ],
 )
-def test_series_arrays_stop_on_their_own_elements(s, x):
-    # each element keeps the bits of its own scalar sum, with no warning,
-    # though the pair (smallest s, largest x) would need far more passes
+@pytest.mark.parametrize("theta", THETAS)
+def test_series_arrays_stop_on_their_own_elements(s, x, theta):
+    # each element keeps the bits of its own scalar sum, though the pair
+    # (smallest s, largest x) would need far more passes
     s, x = np.tile(s, 9), np.tile(x, 9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = log_lower_incomplete_gamma(s, x)
-        assert got.tolist() == [log_lower_incomplete_gamma(a, b) for a, b in zip(s.tolist(), x.tolist())]
+    got = gamma_kernel._ascending(s, x, theta)
+    assert got.tolist() == [gamma_kernel._ascending_sum(a, b, theta)[0] for a, b in zip(s.tolist(), x.tolist())]
     assert np.isfinite(got).all()
-    if s[0] == 900.0:
-        assert (special.gammainc(s, x) <= gamma_kernel._REGULARIZED_FLOOR).all()
-    else:
-        assert gamma_kernel._ascending_mask(s, x).all()
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_series_stop_keeps_every_bit(theta):
+    # the weighted terms rise and then fall, so the first one below 2^-54
+    # of the sum is followed by smaller ones only: the stop gives the bits
+    # of the full sum, at one element and in every call shape
+    for s in (0.001, 1.0, 8.5, 21.0, 128.0, 129.0, 1e3, 1e4):
+        for x in (0.0, 1e-300, 0.5, 8.0, 0.5 * s, float(np.nextafter(s, 0.0)), s):
+            total, passes = gamma_kernel._ascending_sum(s, x, theta)
+            assert total == _weighted_full(s, x, theta) and passes < 1000, (s, x)
+    rng = np.random.default_rng(20261020)
+    s = np.exp(rng.uniform(math.log(1e-3), math.log(3000.0), 300))
+    x = s * rng.uniform(0.0, 1.0, s.size)
+    ref = [_weighted_full(a, b, theta) for a, b in zip(s.tolist(), x.tolist())]
+    assert gamma_kernel._ascending(s, x, theta).tolist() == ref
+    # one order over an array of x, and an array of orders at one x
+    below = x[x < 21.0]
+    assert gamma_kernel._ascending(21.0, below, theta).tolist() == [
+        _weighted_full(21.0, b, theta) for b in below.tolist()
+    ]
+    assert gamma_kernel._ascending(s, 114.4, theta).tolist() == [
+        _weighted_full(a, 114.4, theta) for a in s.tolist()
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -310,10 +362,28 @@ def test_log_zero_limit_is_minus_inf_without_warning():
         assert (log_lower_incomplete_gamma(np.linspace(0.5, 5.0, 50), 0.0) == -math.inf).all()
 
 
+def _same(a, b):
+    """Equal bits, NaN (an underflowed regularized value) included."""
+    return np.array_equal(a, b, equal_nan=True)
+
+
 def _assert_scalar_calls_equal(s, x):
-    got = np.broadcast_to(log_lower_incomplete_gamma(s, x), np.broadcast_shapes(np.shape(s), np.shape(x)))
-    for (a, b), value in zip(np.broadcast(s, x), got.ravel()):
-        assert log_lower_incomplete_gamma(float(a), float(b)) == value, (a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = np.broadcast_to(log_lower_incomplete_gamma(s, x), np.broadcast_shapes(np.shape(s), np.shape(x)))
+        for (a, b), value in zip(np.broadcast(s, x), got.ravel()):
+            assert _same(log_lower_incomplete_gamma(float(a), float(b)), value), (a, b)
+
+
+def _assert_parts_equal_the_whole(s, x):
+    # a two-route array equals its parts
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        both = log_lower_incomplete_gamma(s, x)
+        small = x <= 8.0
+        for part in (small, ~small):
+            if part.any():
+                assert _same(log_lower_incomplete_gamma(s[part], x[part]), both[part])
 
 
 BOUNDARY = [np.nextafter(8.0, -np.inf), 8.0, np.nextafter(8.0, np.inf)]
@@ -328,13 +398,7 @@ def test_scalar_calls_equal_array_calls_across_the_route(size):
     _assert_scalar_calls_equal(2.5, x)  # scalar s, array x
     for xv in BOUNDARY:
         _assert_scalar_calls_equal(s, xv)  # array s, scalar x
-    # a mixed array equals its parts
-    small = x <= 8.0
-    both = log_lower_incomplete_gamma(s, x)
-    if small.any():
-        assert (log_lower_incomplete_gamma(s[small], x[small]) == both[small]).all()
-    if (~small).any():
-        assert (log_lower_incomplete_gamma(s[~small], x[~small]) == both[~small]).all()
+    _assert_parts_equal_the_whole(s, x)
 
 
 def test_broadcast_shapes_keep_one_value_per_point():
@@ -401,7 +465,6 @@ def test_large_x_is_log_gamma_without_warning():
             out = log_lower_incomplete_gamma(s, x)
             assert np.isfinite(out).all()
         out = log_lower_incomplete_gamma(np.arange(1.0, 41.0), np.full(40, 1e5))
-        # count p.m.f.s at (110, 0.04) send orders 129..200 at x = 114.4
         count_pmf(MinUExpParams(110.0, 0.04), np.arange(0, 200))
     mpmath.mp.dps = 40
     exact = [float(mpmath.log(mpmath.factorial(k))) for k in range(40)]
@@ -409,90 +472,61 @@ def test_large_x_is_log_gamma_without_warning():
 
 
 # --------------------------------------------------------------------------
-# The ascending series above 8: finite 8 < x < s, x <= cap
+# The series above 8: the engine at theta = 0 where 8 < x < s, as the
+# mixing kernel's route A runs it below x = s + 1 at gamma order s + 1
 
-X_CAP = gamma_kernel._ASCENDING_X_MAX
 ABOVE_8 = float(np.nextafter(8.0, np.inf))
 
 
 def _ascending_points(s):
-    top = min(s, X_CAP)
-    near = [ABOVE_8, 8.5, 10.0, 12.5, 20.0, 33.3, 50.0, 64.0, 100.0, 114.4, X_CAP,
+    near = [ABOVE_8, 8.5, 10.0, 12.5, 20.0, 33.3, 50.0, 64.0, 100.0, 114.4, 128.0,
             float(np.nextafter(s, 0.0)), s - 0.5 * math.sqrt(s), s - 3.0 * math.sqrt(s)]
-    return sorted({x for x in near if 8.0 < x < s and x <= top})
+    return sorted({x for x in near if 8.0 < x < s})
 
 
 ASCENDING_S = [float(s) for s in range(9, 130)] + [150.0, 200.0, 300.0, 500.0, 1000.0, 2000.0, 3000.0]
 ASCENDING_S += [float(np.nextafter(ABOVE_8, 9.0)), 8.5, 9.3, 20.7, 64.25, 127.9, 128.5, 300.3, 2999.9]
 
 
-def test_ascending_route_against_mpmath():
+def test_series_above_8_against_mpmath():
     # 1e-14 relative in log gamma, for integer and real orders from just
-    # above 8 to 3000, x from just above 8 to min(s, cap)
+    # above 8 to 3000, x from just above 8 to just below s
     mpmath.mp.dps = 50
     for s in ASCENDING_S:
-        xs = _ascending_points(s)
-        got = log_lower_incomplete_gamma(s, np.array(xs))
-        for x, value in zip(xs, got.tolist()):
+        xs = np.array(_ascending_points(s))
+        got = gamma_kernel._log_from_sum(s, xs, gamma_kernel._ascending(s, xs))
+        for x, value in zip(xs.tolist(), got.tolist()):
             ref = mpmath.log(mpmath.gammainc(mpmath.mpf(s), 0, mpmath.mpf(x)))
             assert abs(mpmath.mpf(value) - ref) <= 1e-14 * max(abs(ref), 1.0), (s, x)
 
 
-def test_ascending_route_takes_exactly_its_elements():
-    below_cap, above_cap = X_CAP, float(np.nextafter(X_CAP, np.inf))
-    s = np.array([21.0, 21.0, 200.0, 21.5, 1e4, 21.0, 21.0, 200.0, 21.5, 200.0, 8.0])
-    x = np.array([ABOVE_8, np.nextafter(21.0, 0.0), below_cap, np.nextafter(21.5, 0.0), below_cap,
-                  8.0, 21.0, above_cap, 21.5, np.inf, 7.5])
-    taken = gamma_kernel._ascending_mask(s, x)
-    # x <= 8 takes the series whatever the order
-    assert taken.tolist() == [True] * 6 + [False] * 4 + [True]
+def test_routes_take_exactly_their_elements():
+    s = np.array([21.0, 21.0, 200.0, 21.5, 1e4, 21.0, 21.0, 200.0, 21.5, 200.0, 8.0, 0.5])
+    x = np.array([7.5, 8.0, 8.0, 1e-300, 0.0, ABOVE_8, 21.0, 300.0, 64.0, np.inf, 9.0, 1e5])
     got = log_lower_incomplete_gamma(s, x)
-    assert (got[taken] == gamma_kernel._log_ascending(s[taken], x[taken])).all()
-    # the elements at s <= x, past the cap or at x = inf go to scipy
-    rest = ~taken
-    assert (got[rest] == gamma_kernel._log_regularized(s[rest], x[rest])).all()
-    # a scalar order
-    xs = np.array([8.0, ABOVE_8, below_cap, above_cap, np.inf])
-    taken = gamma_kernel._ascending_mask(np.asarray(200.0), xs)
-    assert taken.tolist() == [True, True, True, False, False]
-    for order in (8.0, ABOVE_8, 5.0):
-        assert gamma_kernel._ascending_mask(np.asarray(order), xs).tolist() == [True] + [False] * 4
+    # x <= 8 takes the series whatever the order, x > 8 scipy's function
+    series = x <= 8.0
+    assert series.tolist() == [True] * 5 + [False] * 7
+    assert (got[series] == gamma_kernel._log_series(s[series], x[series])).all()
+    assert (got[~series] == gamma_kernel._log_regularized(s[~series], x[~series])).all()
 
 
-def test_ascending_cap_is_the_docstring_bound():
-    # raising the cap means re-measuring the costs the module docstring
-    # gives, so the docstring must state the new cap and pass counts
-    doc = " ".join(gamma_kernel.__doc__.split())
-    assert f"finite 8 < x < s and x <= {X_CAP:g}, any real s:" in doc
-    # the mixing kernel's own sums stop at order 127, so the integer gamma
-    # orders it sends here start above the cap
-    assert f"The cap is {X_CAP:g}: at finite x the mixing kernel sends integer orders of" in doc
-    assert f"{_mixture._OWN_MAX_ORDER + 2} and above only" in doc
-    assert _mixture._OWN_MAX_ORDER + 2 > X_CAP
-    # a single element needs the most passes near x = s = cap
-    single = [gamma_kernel._ascending_sum(float(np.nextafter(b, np.inf)), b)[1]
-              for b in np.linspace(ABOVE_8, X_CAP, 2000).tolist()]
-    worst = max(single)
-    assert f"and up to {worst} where s is just above an x near {X_CAP:g}" in doc
-    grid_s = np.geomspace(ABOVE_8, 3000.0, 30).tolist()
-    grid_x = np.linspace(ABOVE_8, X_CAP, 30).tolist()
-    assert max(gamma_kernel._ascending_sum(a, b)[1] for a in grid_s for b in grid_x if b < a) <= worst
-    for (s, x), words in {
-        (float(np.nextafter(ABOVE_8, 9.0)), ABOVE_8): "{} passes at s -> x -> 8",
-        (21.0, 20.99): "{} at (21, 20.99)",
-        (115.0, 114.4): "{} at (115, 114.4)",
-    }.items():
-        assert words.format(gamma_kernel._ascending_sum(s, x)[1]) in doc
-    # an array checks its terms every few passes, so a call runs past its
-    # slowest element by less than one check interval
-    check = gamma_kernel._CHECK_PASSES
-    assert f"checks its terms every {check} passes" in doc
-    assert f"runs at most {check - 1} passes past its slowest element" in doc
-    assert f"one call makes at most {worst + check - 1} passes" in doc
+def test_series_passes_near_the_order_are_the_docstring_counts():
+    # the mixing kernel's route A at z just below s + 1, theta = 1: the
+    # passes grow like sqrt(s), and the cap is first reached near s = 1.6e6
+    doc = " ".join(_mixture.__doc__.split())
+    passes = {s: gamma_kernel._ascending_sum(s + 1.0, float(np.nextafter(s + 1.0, 0.0)), 1.0)[1]
+              for s in (127.0, 1000.0, 1e4)}
+    assert f"({passes[127.0]} at s = 127, {passes[1000.0]} at s = 1000, {passes[1e4]} at s = 10^4" in doc
+    below, above = (float(np.nextafter(s + 1.0, 0.0)) for s in (1.5e6, 1.7e6))
+    for theta in (0.0, 1.0, 1e300):
+        assert gamma_kernel._ascending_sum(1.5e6 + 1.0, below, theta)[1] < gamma_kernel._SERIES_CAP
+        assert math.isnan(gamma_kernel._ascending_sum(1.7e6 + 1.0, above, theta)[0])
 
 
 def _ascending_full(s, x, passes=3000):
-    # the definition, run far past every element's convergence
+    # the plain gamma series by its definition, run far past every
+    # element's convergence
     term = total = 1.0
     for k in range(1, passes):
         term *= x / (s + k)
@@ -500,23 +534,17 @@ def _ascending_full(s, x, passes=3000):
     return total
 
 
-def test_ascending_stop_keeps_every_bit():
-    worst = gamma_kernel._ascending_sum(float(np.nextafter(X_CAP, np.inf)), X_CAP)[1]
+def test_series_at_theta_zero_is_the_gamma_series():
+    # every weight is exactly 1 at theta = 0, so the engine sums the plain
+    # series term by term, at x above 8 as below it
     for s in (ABOVE_8 + 1e-9, 9.0, 21.0, 64.5, 115.0, 129.0, 1e4):
-        for x in (ABOVE_8, 0.5 * (8.0 + min(s, X_CAP)), float(np.nextafter(min(s, X_CAP), 0.0))):
-            total, passes = gamma_kernel._ascending_sum(s, x)
-            assert total == _ascending_full(s, x) and passes <= worst, (s, x)
-    # one array call runs until every element's own terms are absorbed,
-    # and each element keeps the bits of its own full sum
+        for x in (ABOVE_8, 0.5 * (8.0 + min(s, 128.0)), float(np.nextafter(min(s, 128.0), 0.0))):
+            assert gamma_kernel._ascending_sum(s, x)[0] == _ascending_full(s, x), (s, x)
     rng = np.random.default_rng(20261020)
     s = np.exp(rng.uniform(math.log(8.01), math.log(3000.0), 300))
-    x = 8.0 + (np.minimum(s, X_CAP) - 8.0) * rng.uniform(1e-9, 1.0, s.size)
+    x = 8.0 + (np.minimum(s, 128.0) - 8.0) * rng.uniform(1e-9, 1.0, s.size)
     x = np.where(x < s, x, np.nextafter(s, 0.0))
-    pairs = list(zip(s.tolist(), x.tolist())) + [(21.0, b) for b in x[x < 21.0].tolist()]
-    ref = [gamma_kernel._log_from_sum(a, b, _ascending_full(a, b)) for a, b in pairs]
-    got = gamma_kernel._log_ascending(s, x).tolist()
-    got += gamma_kernel._log_ascending(np.asarray(21.0), x[x < 21.0]).tolist()
-    assert got == ref
+    assert gamma_kernel._ascending(s, x).tolist() == [_ascending_full(a, b) for a, b in zip(s.tolist(), x.tolist())]
 
 
 _CLOSED_FORMS_SCIPY = """
@@ -550,11 +578,11 @@ print(json.dumps([m for m in sys.modules if m.startswith("scipy")]))
 
 
 def test_closed_forms_load_no_scipy():
-    # every incomplete-gamma element of these evaluators has x <= 8, or an
-    # integer order above 128 at x <= 128, so none reaches scipy's gammainc;
-    # the moments' real orders 1 - p at 1 - p <= a lambda <= 8 are the
-    # elements that take the series at x <= 8; a fresh interpreter, since
-    # this process has imported scipy long ago
+    # the count laws' orders above 127 all have a (lambda + t) below the
+    # order plus one, where the mixing kernel's route A needs no incomplete
+    # gamma; the moments' real orders 1 - p at 1 - p <= a lambda <= 8 are
+    # the elements that reach it, and take its series at x <= 8; a fresh
+    # interpreter, since this process has imported scipy long ago
     env = dict(os.environ)
     package_root = str(Path(gamma_kernel.__file__).resolve().parents[1])
     inherited = env.get("PYTHONPATH")
@@ -568,14 +596,14 @@ def test_closed_forms_load_no_scipy():
 
 
 ROUTE_S = [1.0, 2.0, 7.0, 8.0, 9.0, 21.0, np.nextafter(21.0, 22.0), np.nextafter(21.0, 0.0), 64.0,
-           X_CAP - 1.0, X_CAP, X_CAP + 1.0, np.nextafter(X_CAP, np.inf), 2.5, 150.5, 300.0]
+           127.0, 128.0, 129.0, np.nextafter(128.0, np.inf), 2.5, 150.5, 300.0]
 
 
 @pytest.mark.parametrize("size", [1, 5, 16, 17, 64])
 def test_scalar_calls_equal_array_calls_across_both_routes(size):
     rng = np.random.default_rng(1000 + size)
-    special_x = [21.0, np.nextafter(21.0, 0.0), np.nextafter(21.0, 40.0), X_CAP, X_CAP + 1.0,
-                 np.nextafter(X_CAP, np.inf), 150.5, np.inf]
+    special_x = [21.0, np.nextafter(21.0, 0.0), np.nextafter(21.0, 40.0), 128.0, 129.0,
+                 np.nextafter(128.0, np.inf), 150.5, np.inf]
     x = np.concatenate([BOUNDARY, special_x, rng.uniform(4.0, 200.0, size)])[:size]
     for s in ROUTE_S:
         _assert_scalar_calls_equal(s, x)  # scalar s, array x
@@ -584,14 +612,9 @@ def test_scalar_calls_equal_array_calls_across_both_routes(size):
     # array orders whose elements straddle both routes
     s = rng.choice(np.array(ROUTE_S + [3.0, 12.0, 40.0]), size)
     _assert_scalar_calls_equal(s, x)
-    for xv in (np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 21.0, X_CAP, X_CAP + 1.0, 1e5):
+    for xv in (np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 21.0, 128.0, 129.0, 1e5):
         _assert_scalar_calls_equal(s, xv)  # array s, scalar x
-    # a two-route array equals its parts
-    both = log_lower_incomplete_gamma(s, x)
-    ascending = gamma_kernel._ascending_mask(s, x)
-    for part in (ascending, ~ascending):
-        if part.any():
-            assert (log_lower_incomplete_gamma(s[part], x[part]) == both[part]).all()
+    _assert_parts_equal_the_whole(s, x)
 
 
 def test_scalar_types_give_the_same_bits():

@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import minuexp
 import minuexp.gamma_kernel
 from minuexp import (
     MinUExpParams,
@@ -106,7 +107,8 @@ def test_log_kernel_tracks_high_precision_reference(a, lam, n, c):
 
 
 def test_kernel_broadcasts_and_matches_scalars():
-    # orders past about 170 at c = 2 take the ascending-series path
+    # orders past 127 take route A's converged series where ac < s + 1 and
+    # route C elsewhere; the orders up to 127 take their tables
     ns = np.array([0, 3, 17, 150, 400, 1000, 2000])
     cs = np.array([0.5, 2.0, 40.0])
     for p in (P11, P110):
@@ -152,7 +154,8 @@ def test_kernel_validation():
 
 def test_incomplete_gamma_lives_only_in_the_kernel():
     gk = minuexp.gamma_kernel
-    bound = {id(gk)} | {id(getattr(gk, name)) for name in gk.__all__}
+    assert gk.__all__ == [] and "log_lower_incomplete_gamma" not in vars(minuexp)
+    bound = {id(gk), id(gk._log_lower_incomplete_gamma)}
     for module in (structure, counting, interarrival):
         names = [name for name, value in vars(module).items() if id(value) in bound]
         assert names == [], module.__name__
@@ -165,7 +168,7 @@ def test_zero_coefficient_edge():
     got = mixing_kernel(MinUExpParams(a, lam), n, c)
     mpmath.mp.dps = 60
     ref = math.exp(_log_kernel_reference(a, lam, n, c))
-    assert got == pytest.approx(ref, rel=1e-12)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_count_pmf_across_the_zero_coefficient():
@@ -175,8 +178,8 @@ def test_count_pmf_across_the_zero_coefficient():
     got = count_pmf(P11, np.arange(11))
     for n in range(11):
         ref = mpmath.exp(_log_kernel_reference(1.0, 1.0, n, 2.0)) / mpmath.factorial(n)
-        assert got[n] == pytest.approx(float(ref), rel=1e-14), n
-    assert count_pmf(P11, 3) == pytest.approx(float(mpmath.exp(-2) / 12), rel=1e-14)
+        assert got[n] == pytest.approx(float(ref), rel=1e-14, abs=0.0), n
+    assert count_pmf(P11, 3) == pytest.approx(float(mpmath.exp(-2) / 12), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("params", [P11, MinUExpParams(0.5, 0.25)], ids=str)
@@ -203,7 +206,7 @@ def test_large_count_pmf_at_figure_parameters():
         ref = math.exp(
             _log_kernel_reference(110.0, 0.04, n, 1.04) - float(mpmath.log(mpmath.factorial(n)))
         )
-        assert float(count_pmf(P110, n)) == pytest.approx(ref, rel=1e-8)
+        assert float(count_pmf(P110, n)) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 MOMENT_ORDERS = (1, 2, 5, 20, 60, 100, 130, 145, 160, 171, 200, 250)
@@ -216,10 +219,10 @@ def test_raw_and_factorial_moments_at_high_orders():
         for k in MOMENT_ORDERS:
             ref = _raw_moment_reference(p.a, p.lam, k)
             if _is_normal_double(ref):
-                assert raw_moment(p, k) == pytest.approx(float(ref), rel=1e-10), (p, k)
+                assert raw_moment(p, k) == pytest.approx(float(ref), rel=1e-10, abs=0.0), (p, k)
             fact_ref = mpmath.mpf(0.8) ** k * ref
             if _is_normal_double(fact_ref):
-                assert factorial_moment(p, 0.8, k) == pytest.approx(float(fact_ref), rel=1e-10), (p, k)
+                assert factorial_moment(p, 0.8, k) == pytest.approx(float(fact_ref), rel=1e-10, abs=0.0), (p, k)
 
 
 def test_raw_moment_overflows_to_inf():
@@ -235,7 +238,7 @@ def test_erlang_moment_at_large_event_index(n):
         for power in (-20.0, -0.5, 0.5):
             got = erlang_moment(p, n, power)
             assert math.isfinite(got)
-            assert got == pytest.approx(float(_erlang_moment_reference(p.a, p.lam, n, power)), rel=1e-10)
+            assert got == pytest.approx(float(_erlang_moment_reference(p.a, p.lam, n, power)), rel=1e-10, abs=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -399,23 +402,28 @@ def test_dispatcher_mixed_routes(params):
 
 
 def test_dispatcher_where_z_overflows():
-    # where z = ac overflows at finite c, integer orders up to 127 take route
-    # B's limit, g = theta + 1 and e^E = 0, without a warning.  Beside it:
-    # route B at 1e300, route A at 1e-3
+    # where z = ac overflows at finite c, every order takes route B's limit,
+    # g = theta + 1 and e^E = 0, without a warning.  Beside it: route B or
+    # C at 1e300, route A at 1e-3
     p = MinUExpParams(1e3, 1.0)
     mpmath.mp.dps = 40
     cs = np.array([1e300, 1e306, 1e-3, 1.7e308])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for s in (0, 1, 3, 5, 127):
+        for s in (0, 1, 3, 5, 127, 0.5, 127.5, 128, 300, 2000):
             row = log_mixing_kernel(p, s, cs)
             assert row.tolist() == _scalar_row(p, s, cs), s
             for c, value in zip(cs.tolist(), row.tolist()):
                 ref = _log_kernel_reference(p.a, p.lam, s, c)
                 assert value == pytest.approx(ref, rel=1e-14, abs=0.0), (s, c)
         got = log_mixing_kernel(p, [0, 1, 5], 1e306)
+        mixed = log_mixing_kernel(p, [0.5, 128.0], [1e306, 1e306])
+        assert mixed.tolist() == [log_mixing_kernel(p, 0.5, 1e306), log_mixing_kernel(p, 128, 1e306)]
     assert got.tolist() == pytest.approx([-704.59003895584490, -1409.1810774120229,
                                           -4222.7577394939527], rel=1e-15, abs=0.0)
+    # a real order and an order past 127, which gave NaN here
+    ref = [_log_kernel_reference(p.a, p.lam, s, 1e306) for s in (0.5, 128)]
+    assert mixed.tolist() == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_public_evaluators_where_z_overflows():
@@ -425,6 +433,9 @@ def test_public_evaluators_where_z_overflows():
         warnings.simplefilter("error")
         assert interarrival.erlang_pdf(p, 1, 1e306) == 0.0
         assert interarrival.erlang_pdf(p, 3, [1e300, 1e306]).tolist() == [0.0, 0.0]
+        # past order 127, which gave NaN here
+        assert interarrival.erlang_pdf(p, 128, 1e306) == 0.0
+        assert interarrival.erlang_pdf(p, 128, [1e300, 1e306]).tolist() == [0.0, 0.0]
         # E(xi | N = 2) = J(3, c)/J(2, c) and E(xi | tau = t) = J(2, c)/J(1, c)
         count_mean = counting.mean_xi_given_count(p, 1e306, 2)
         tau_mean = interarrival.mean_xi_given_tau(p, 1e306)
@@ -501,7 +512,7 @@ def test_route_a_table_lengths():
     # where they are largest, and K(s) - 2 terms do not
     mpmath.mp.dps = 30
     counts = {}
-    for s in list(range(0, 128, 9)) + [127, -0.999, -0.5, 0.5, 19.5, 126.5]:
+    for s in list(range(0, 128, 9)) + [127]:
         count = _route_a_terms(s)
         assert _kummer_tails(s, count) < mpmath.mpf(2) ** -54, s
         assert _kummer_tails(s, count - 2) >= mpmath.mpf(2) ** -54, s
@@ -509,7 +520,7 @@ def test_route_a_table_lengths():
     assert (counts[0], counts[127], _route_a_terms(20)) == (18, 110, 51)
     assert counts[127] == _mixture._KUMMER_WIDTH
     # an array of orders runs the passes of its largest order
-    lengths = [_route_a_terms(s) for s in np.linspace(-0.999, 127.0, 400).tolist()]
+    lengths = [_route_a_terms(s) for s in range(128)]
     assert lengths == sorted(lengths)
 
 
@@ -540,9 +551,13 @@ def test_taylor_terms_of_stable_b_and_a():
     xs = np.concatenate([np.geomspace(1e-300, 0.999, 60), np.array([0.5, 0.999999])])
     values = zip(xs.tolist(), _mixture._stable_B(xs).tolist(), _mixture._stable_A(xs).tolist())
     for x, b, a in values:
-        xm = mpmath.mpf(x)
-        assert b == pytest.approx(float(xm - 1 + mpmath.e**-xm), rel=4e-16), x
-        assert a == pytest.approx(float(xm - 2 + (xm + 2) * mpmath.e**-xm), rel=4e-16), x
+        # both forms cancel to their leading terms x^2/2 and x^3/6, so the
+        # reference carries three more digits per decade of x below 1
+        with mpmath.workdps(30 + 3 * int(max(0.0, -math.log10(x)))):
+            xm = mpmath.mpf(x)
+            ref_b, ref_a = float(xm - 1 + mpmath.e**-xm), float(xm - 2 + (xm + 2) * mpmath.e**-xm)
+        assert b == pytest.approx(ref_b, rel=4e-16, abs=0.0), x
+        assert a == pytest.approx(ref_a, rel=4e-16, abs=0.0), x
 
 
 # orders spread over 0..127, both routes at every tilt below
@@ -562,6 +577,37 @@ def test_log_kernel_to_1e12_at_orders_up_to_127(params):
             assert abs(value - ref) <= 1e-12, (mu, n)
 
 
+def _log_kernel_reference_120(a, lam, s, c):
+    # the closed form in 120 digits, with gamma(s+2, z) from gamma(s+1, z)
+    # by the recurrence gamma(s+2, z) = (s+1) gamma(s+1, z) - z^(s+1) e^(-z),
+    # which costs at most log10(s/z) of the digits
+    with mpmath.workdps(120):
+        am, lm, cm, sm = map(mpmath.mpf, (a, lam, c, s))
+        z = am * cm
+        g1 = _gamma_ref(sm + 1, z)
+        g2 = (sm + 1) * g1 - z ** (sm + 1) * mpmath.exp(-z)
+        return mpmath.log(((1 + lm * am) * g1 / cm ** (sm + 1) - lm * g2 / cm ** (sm + 2)) / am)
+
+
+# orders past the tables, and those next to z = s + 1 at each tilt below
+DEEP_ORDERS = [128, 129] + list(range(150, 2001, 50))
+
+
+@pytest.mark.parametrize("params", PARAM_GRID + [P110], ids=str)
+def test_log_kernel_to_1e12_at_orders_up_to_2000(params):
+    # where log J lies within +-700; route C's sign-tracked combine left up
+    # to 1.5e-9 here where z < s + 1
+    for mu in (0.01, 1.0, 100.0):
+        c = params.lam + mu
+        z = params.a * c
+        orders = sorted(set(DEEP_ORDERS) | {n for n in (int(z) - 1, int(z)) if 128 <= n <= 2000})
+        got = log_mixing_kernel(params, np.array(orders), c)
+        for n, value in zip(orders, got.tolist()):
+            ref = _log_kernel_reference_120(params.a, params.lam, n, c)
+            if abs(ref) <= 700:
+                assert abs(value - ref) <= 1e-12, (mu, n)
+
+
 @pytest.mark.parametrize("params", CORNER_GRID, ids=str)
 def test_erlang_pdf_to_1e12_at_the_corners(params):
     mpmath.mp.dps = 40
@@ -573,4 +619,93 @@ def test_erlang_pdf_to_1e12_at_the_corners(params):
             kernel = _kernel_reference(params.a, params.lam, n, mpmath.mpf(params.lam) + t)
             ref = mpmath.mpf(t) ** (n - 1) / mpmath.factorial(n - 1) * kernel
             if _is_normal_double(ref):
-                assert value == pytest.approx(float(ref), rel=1e-12), (n, t)
+                assert value == pytest.approx(float(ref), rel=1e-12, abs=0.0), (n, t)
+
+
+# --------------------------------------------------------------------------
+# Route A at every order: the tables of the integer orders up to 127, the
+# converged series otherwise, and route C where the series meets its cap
+
+
+def test_integer_orders_up_to_127_keep_their_tables(monkeypatch):
+    # in every call shape the integer orders up to 127 take their tables;
+    # real orders and orders past 127 take the series engine
+    seen = []
+
+    def spy(engine):
+        def wrapped(s, x, theta=0.0):
+            seen.append(s)
+            return engine(s, x, theta)
+        return wrapped
+
+    monkeypatch.setattr(_mixture, "_ascending", spy(_mixture._ascending))
+    c = 0.5
+    assert (P11.a * c < np.arange(128) + 1.0).all()
+    log_mixing_kernel(P11, np.arange(128), c)
+    log_mixing_kernel(P11, np.arange(128), np.full(128, c))
+    for s in (0, 20, 127):
+        log_mixing_kernel(P11, s, np.array([c, c / 2]))
+        log_mixing_kernel(P11, s, c)
+    assert seen == []
+    log_mixing_kernel(P11, [0.5, 127.5, 128.0, 2000.0], c)
+    log_mixing_kernel(P11, 128, c)
+    assert len(seen) == 2 and seen[0].tolist() == [1.5, 128.5, 129.0, 2001.0] and seen[1] == 129.0
+
+
+def test_count_pmf_makes_no_incomplete_gamma_call(monkeypatch):
+    # at each (a, lambda) of the benchmark's grid every order past 127 has
+    # a (lambda + 1) below the order plus one, so no element reaches route C
+    calls = []
+    monkeypatch.setattr(_mixture, "_log_lower_incomplete_gamma", lambda s, x: calls.append((s, x)))
+    for params in PARAM_GRID + [P110]:
+        count_pmf(params, np.arange(2001))
+    count_pmf(P11, np.arange(201))
+    for n in range(201):
+        count_pmf(P11, n)
+    assert calls == []
+
+
+def _log_kernel_reference_upper(a, lam, s, c):
+    # the closed form in 60 digits, with gamma(s, z) = Gamma(s) - Gamma(s, z):
+    # next to z = s at these orders the regularized function is not small
+    with mpmath.workdps(60):
+        am, lm, cm, sm = map(mpmath.mpf, (a, lam, c, s))
+        z = am * cm
+        g1, g2 = (mpmath.gamma(v) - mpmath.gammainc(v, z) for v in (sm + 1, sm + 2))
+        return mpmath.log(((1 + lm * am) * g1 / cm ** (sm + 1) - lm * g2 / cm ** (sm + 2)) / am)
+
+
+@pytest.mark.parametrize("s", [2e6, 1e7])
+@pytest.mark.parametrize(
+    "params", [P11, MinUExpParams(0.5, 3.0), MinUExpParams(1.0, 100.0), MinUExpParams(1.0, 1e4)], ids=str
+)
+def test_cap_band_matches_the_closed_form(params, s):
+    # z within 1e-3 s of s + 1: where route A's series has not converged at
+    # its cap, which is next to z = s + 1 at both orders and the whole band
+    # at s = 1e7, the elements take route C; at theta = 1e4 its g is
+    # negative in most of the band
+    deltas = np.array([1e-3 * s, 5e-4 * s, 1e-4 * s, 10.0, 1.0, 0.0])
+    cs = (s + 1.0 - deltas) / params.a
+    theta = params.lam * params.a
+    stuck = [math.isnan(minuexp.gamma_kernel._ascending_sum(s + 1.0, z, theta)[0]) for z in (params.a * cs).tolist()]
+    assert stuck[3:] == [True] * 3 and all(stuck) == (s == 1e7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_mixing_kernel(params, s, cs)
+        assert got.tolist() == [log_mixing_kernel(params, s, c) for c in cs.tolist()]
+    for c, value in zip(cs.tolist(), got.tolist()):
+        ref = _log_kernel_reference_upper(params.a, params.lam, s, c)
+        assert abs(value - ref) <= 1e-14 * abs(ref), c
+
+
+def test_cap_band_where_the_regularized_gamma_underflows():
+    # at s = 1e10 the band reaches z = s + 1 - 3e-3 s, where the regularized
+    # function is far below 1e-290: NaN and one RuntimeWarning, never a
+    # wrong finite number
+    s = 1e10
+    c = s + 1.0 - 3e-3 * s
+    assert math.isnan(minuexp.gamma_kernel._ascending_sum(s + 1.0, c, P11.lam * P11.a)[0])
+    for call in (lambda: log_mixing_kernel(P11, s, c), lambda: log_mixing_kernel(P11, s, np.array([c]))):
+        with pytest.warns(RuntimeWarning, match="regularized incomplete gamma") as caught:
+            assert np.isnan(call())
+        assert len(caught) == 1

@@ -83,7 +83,9 @@ def test_posterior_means_lie_inside_the_support(params, mu_t, ns):
 # --------------------------------------------------------------------------
 # The paper's relations between laws coded apart, at 1e-12 wherever both
 # sides are normal doubles: the sign-tracked combine missed them by up to
-# 1.3e-11 where q < 0
+# 1.3e-11 where q < 0.  The orders stop at 250: past about 300 the terms an
+# evaluator adds in log space, such as (n-1) log t and lgamma(n), reach
+# 1e4, and their rounding alone comes near 1e-12
 
 TINY = 2.2250738585072014e-308
 
@@ -93,7 +95,7 @@ def _normal(*values):
 
 
 @settings(max_examples=400, deadline=None)
-@given(params=params_st, n=st.integers(1, 126), t=_log_uniform(1e-4, 1e4))
+@given(params=params_st, n=st.integers(1, 250), t=_log_uniform(1e-4, 1e4))
 def test_erlang_density_is_the_count_law_at_the_scaled_parameters(params, n, t):
     # T_n <= t exactly when N(t) >= n, and scaling xi by t gives the count law
     # at unit intensity: f_n(t) = (n/t) p_n at scale(p, t)
@@ -105,7 +107,7 @@ def test_erlang_density_is_the_count_law_at_the_scaled_parameters(params, n, t):
 
 
 @settings(max_examples=400, deadline=None)
-@given(params=params_st, n=st.integers(0, 126), mu_t=_log_uniform(1e-4, 1e4))
+@given(params=params_st, n=st.integers(0, 250), mu_t=_log_uniform(1e-4, 1e4))
 def test_posterior_mean_is_a_ratio_of_count_probabilities(params, n, mu_t):
     # E(xi | N = n) = (n+1) p_(n+1) / (mu p_n), p at scale(p, mu)
     scaled = scale(params, mu_t)
