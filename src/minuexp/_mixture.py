@@ -147,14 +147,14 @@ add, highest coefficient first:
   the call's shape (see minuexp.gamma_kernel);
 * a call with 0-d s and c takes a scalar path on Python floats, whose
   + - * / are the IEEE operations numpy applies to each array element.
-  Routes A and B run the same passes and operations there, each d_k
-  formed inside the Horner loop from the order's cached rows, never as a
-  numpy operation: each of those on a 0-d array or a short row costs a
+  Routes A, B and C run the same passes and operations there, route A's
+  d_k formed inside its Horner loop from the order's cached rows, never as
+  a numpy operation: each of those on a 0-d array or a short row costs a
   microsecond or more.  Their exp, log and log1p are np.exp, np.log and
   np.log1p applied to floats, never math's: those can differ from
   numpy's in the last bit (math.exp did at s = 1), and the scalar path
   must give the bits of the same point inside an array.  The series
-  engine, route C and the limit run their array functions on floats.
+  engine and the limit run their array functions on floats.
 
 The module also holds B(x) = x - 1 + e^(-x), A(x) = x - 2 + (x + 2) e^(-x)
 and C(x) = 1 - (1 + x) e^(-x) without cancellation (_stable_B, _stable_A,
@@ -217,13 +217,8 @@ def _kummer_tables(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Route-A tables of the given orders, stacked along a last axis: rows
     c0_k = 1/(b)_k and c1_k = (k+1)/(b)_(k+1), b = s + 2, for k < K(s),
     highest k first and left-padded with zeros to _KUMMER_WIDTH rows; the
-    counts K(s); and log(s + 1).
-
-    K(s) is the fewest terms after which both tails are below _ABSORBED
-    times the sum of the terms before, at z = s + 1.  The ratio of
-    consecutive terms, z/(b+k) in P0 and z (k+2) / ((k+1)(b+k+1)) in P1,
-    falls with k, so from term k on a tail is at most term k over
-    1 - its ratio at k, once that ratio is below 1.
+    counts K(s), as the module docstring's table lengths define them; and
+    log(s + 1).
     """
     b = orders[:, None] + 2.0
     k = np.arange(_KUMMER_SPAN, dtype=float)
@@ -355,14 +350,6 @@ def _horner(coef: np.ndarray, x, which) -> np.ndarray:
     return acc
 
 
-def _horner_one(coef: list, x: float) -> float:
-    """_horner at one element, in the same operations on Python floats."""
-    acc = coef[0]
-    for value in coef[1:]:
-        acc = acc * x + value
-    return acc
-
-
 # --------------------------------------------------------------------------
 # the routes
 
@@ -370,11 +357,14 @@ def _horner_one(coef: list, x: float) -> float:
 def _log_kummer(log_a: float, theta: float, s, z) -> np.ndarray:
     """Route A on the tables, z < s + 1 at integer s <= 127:
     log J = s log a - log(s+1) - z + log sum, the sum by Horner over
-    d_k = u c0_k + v c1_k with the engine's weights (u, v)."""
+    d_k = c0_k + theta c1_k where theta <= 1, and c0_k / theta + c1_k, the
+    sum over theta, otherwise."""
     table, log_s1, which = _tables(_kummer_tables, s)
-    u, v, log_out = _weights(theta)
-    total = _horner(u * table[0] + v * table[1], z, which)
-    return s * log_a - log_s1 + log_out - z + np.log(total)
+    if theta <= 1.0:
+        coef, log_out = table[0] + theta * table[1], 0.0
+    else:
+        coef, log_out = table[0] / theta + table[1], math.log(theta)
+    return s * log_a - log_s1 + log_out - z + np.log(_horner(coef, z, which))
 
 
 def _log_kummer_one(log_a: float, theta: float, s: float, z: float) -> float:
@@ -382,11 +372,16 @@ def _log_kummer_one(log_a: float, theta: float, s: float, z: float) -> float:
     inside the Horner loop, from the order's cached rows, in the
     operations numpy applies to each element."""
     (c0, c1), log_s1 = _rows(_kummer_tables, s)
-    u, v, log_out = _weights(theta)
     # 0 z + d_0 = d_0 exactly at the finite z of route A
     total = 0.0
-    for p, q in zip(c0, c1):
-        total = total * z + (u * p + v * q)
+    if theta <= 1.0:
+        log_out = 0.0
+        for u, v in zip(c0, c1):
+            total = total * z + (u + theta * v)
+    else:
+        log_out = math.log(theta)
+        for u, v in zip(c0, c1):
+            total = total * z + (u / theta + v)
     return s * log_a - log_s1 + log_out - z + float(np.log(total))
 
 
@@ -421,18 +416,15 @@ def _log_poisson(log_a: float, theta: float, s, z, c) -> np.ndarray:
 def _log_poisson_one(log_a: float, theta: float, s: float, z: float, c: float) -> float:
     """_log_poisson at one element, on Python floats."""
     coef, lgamma = _rows(_poisson_tables, s)
-    total = _horner_one(coef, 1.0 / z)
-    log_z = float(np.log(z))
-    e = s * log_z - z - lgamma
+    # _horner's passes over 1/z
+    x, total = 1.0 / z, coef[0]
+    for value in coef[1:]:
+        total = total * x + value
+    e = s * float(np.log(z)) - z - lgamma
     tail = float(np.exp(e)) if e >= _EXP_FLOOR else 0.0
     g = theta * ((z - (s + 1.0)) / z) + 1.0
-    return (
-        lgamma
-        - log_a
-        - (s + 1.0) * float(np.log(c))
-        + float(np.log(g))
-        + float(np.log1p(tail * (theta / g - total)))
-    )
+    log_g, log_c = float(np.log(g)), float(np.log(c))
+    return lgamma - log_a - (s + 1.0) * log_c + log_g + float(np.log1p(tail * (theta / g - total)))
 
 
 def _log_limit(log_a: float, theta: float, s, c):
@@ -462,6 +454,19 @@ def _log_combine(a: float, lam: float, s, z, c):
         m = np.maximum(log_abs_t1, log_t2)
         total = np.copysign(np.exp(log_abs_t1 - m), g) + np.exp(log_t2 - m)
         return m + np.log(np.maximum(total, 0.0))
+
+
+def _log_combine_one(a: float, lam: float, s: float, z: float, c: float) -> float:
+    """_log_combine at one element, on Python floats."""
+    log_a, log_c = float(np.log(a)), float(np.log(c))
+    g = lam * a * ((z - (s + 1.0)) / z) + 1.0
+    log_abs_g = float(np.log(abs(g))) if g != 0.0 else -math.inf
+    log_abs_t1 = _log_lower_incomplete_gamma(s + 1.0, z) + log_abs_g - log_a - (s + 1.0) * log_c
+    log_t2 = float(np.log(lam)) + s * log_a - z - log_c
+    # np.maximum's choice, NaN included, without its microsecond
+    m = log_abs_t1 if log_abs_t1 >= log_t2 or log_abs_t1 != log_abs_t1 else log_t2
+    total = math.copysign(float(np.exp(log_abs_t1 - m)), g) + float(np.exp(log_t2 - m))
+    return m + (float(np.log(total)) if not total <= 0.0 else -math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -605,7 +610,7 @@ def _log_mixing_kernel_one(a: float, lam: float, s: float, c: float) -> float:
             return float(_log_limit(math.log(a), theta, s, c))
         elif own:
             return _log_poisson_one(math.log(a), theta, s, z, c)
-    return float(_log_combine(a, lam, s, z, c))
+    return _log_combine_one(a, lam, s, z, c)
 
 
 def mixing_kernel(params: MinUExpParams, s, c):

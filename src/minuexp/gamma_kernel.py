@@ -35,12 +35,9 @@ _SERIES_CAP = 10 000 is not yet absorbed is NaN, without a warning; the
 caller decides what to do with it.
 
 The incomplete gamma.  The mixing kernel takes log gamma(s, x) only on its
-route C: where x = ac is at least its gamma order s + 1, for real kernel
-orders s and those above 127; in the band just below that line at kernel
-orders past about 1.6e6, where the series does not converge within its
-cap; and where lambda a overflows.  minuexp.validation calls it too, at orders up to 5,
-in the rejected closed-form variants it checks.  Each element takes one
-of two routes, chosen by its own x:
+route C (see minuexp._mixture); minuexp.validation calls it too, at orders
+up to 5, in the rejected closed-form variants it checks.  Each element
+takes one of two routes, chosen by its own x:
 
 * x <= 8, any real s: the series above at theta = 0.  At x <= 8 one
   element needs at most 42 passes, as s -> 0 at x = 8, where the terms
@@ -52,8 +49,8 @@ of two routes, chosen by its own x:
   regularized value is at or below 1e-290, too close to underflow to take
   a log of, the element is NaN, with one RuntimeWarning per call.  x far
   below s takes that outcome; route C sends such elements only at kernel
-  orders above about 1e8, in the band described above.  Calls of a few
-  elements take the same ufuncs one element at a time.
+  orders above about 1e8, in its cap band.  Calls of a few elements take
+  the same ufuncs one element at a time.
 
 scipy.special is imported only when some element takes the second route:
 importing it takes about 0.26 s, more than half the wall time of a short

@@ -589,23 +589,50 @@ def _log_kernel_reference_120(a, lam, s, c):
         return mpmath.log(((1 + lm * am) * g1 / cm ** (sm + 1) - lm * g2 / cm ** (sm + 2)) / am)
 
 
-# orders past the tables, and those next to z = s + 1 at each tilt below
-DEEP_ORDERS = [128, 129] + list(range(150, 2001, 50))
+def _log_kernel_references_120(a, lam, c, top):
+    # log J(s, c) at every order s = 0..top in 120 digits: gamma(s+1, z) by
+    # the backward recurrence gamma(s, z) = (gamma(s+1, z) + z^s e^(-z)) / s
+    # from gamma(top+2, z), which adds positive terms only
+    with mpmath.workdps(120):
+        am, lm, cm = map(mpmath.mpf, (a, lam, c))
+        z = am * cm
+        gammas = [mpmath.mpf(0)] * (top + 3)
+        gammas[top + 2] = _gamma_ref(top + 2, z)
+        power = z ** (top + 1) * mpmath.exp(-z)
+        for s in range(top + 1, 0, -1):
+            gammas[s] = (gammas[s + 1] + power) / s
+            power /= z
+        out, c_power = [], cm
+        for s in range(top + 1):
+            # the closed form, (1 + lambda a) gamma(s+1, z) / c^(s+1) - lambda
+            # gamma(s+2, z) / c^(s+2), over a
+            out.append(mpmath.log(((1 + lm * am) * gammas[s + 1] - lm * gammas[s + 2] / cm) / (c_power * am)))
+            c_power *= cm
+        return out
 
 
 @pytest.mark.parametrize("params", PARAM_GRID + [P110], ids=str)
-def test_log_kernel_to_1e12_at_orders_up_to_2000(params):
-    # where log J lies within +-700; route C's sign-tracked combine left up
-    # to 1.5e-9 here where z < s + 1
+def test_log_kernel_against_120_digits_at_every_order_up_to_2000(params):
+    # |log J - log J_ref| is the relative error of J; at most 1e-12, or 4
+    # ulps of the largest term the routes add in log space where that is
+    # more.  Routes B and C add lgamma(s+1) and -(s+1) log c, which reach
+    # 2400 here at (5, 1), mu = 100, and each carries about an ulp from its
+    # library log and its product, with half an ulp at each addition: the
+    # kernel is 2.5 ulps (1.1e-12) off there at s = 464, and at most 2.9
+    # ulps anywhere on this grid.  Only where log J lies within +-700.
+    # Route C's sign-tracked combine left up to 1.5e-9 where z < s + 1.
+    orders = np.arange(2001.0)
     for mu in (0.01, 1.0, 100.0):
         c = params.lam + mu
-        z = params.a * c
-        orders = sorted(set(DEEP_ORDERS) | {n for n in (int(z) - 1, int(z)) if 128 <= n <= 2000})
-        got = log_mixing_kernel(params, np.array(orders), c)
-        for n, value in zip(orders, got.tolist()):
-            ref = _log_kernel_reference_120(params.a, params.lam, n, c)
+        refs = _log_kernel_references_120(params.a, params.lam, c, 2000)
+        for n in (0, 128, 2000):
+            assert mpmath.almosteq(refs[n], _log_kernel_reference_120(params.a, params.lam, n, c), 1e-60)
+        got = log_mixing_kernel(params, orders, c)
+        for n, value, ref in zip(range(2001), got.tolist(), refs):
             if abs(ref) <= 700:
-                assert abs(value - ref) <= 1e-12, (mu, n)
+                terms = (math.lgamma(n + 1.0), (n + 1) * math.log(c), n * math.log(params.a), params.a * c)
+                tol = max(1e-12, 4 * float(np.spacing(max(map(abs, terms)))))
+                assert abs(mpmath.mpf(value) - ref) <= tol, (mu, n)
 
 
 @pytest.mark.parametrize("params", CORNER_GRID, ids=str)
@@ -650,6 +677,16 @@ def test_integer_orders_up_to_127_keep_their_tables(monkeypatch):
     log_mixing_kernel(P11, [0.5, 127.5, 128.0, 2000.0], c)
     log_mixing_kernel(P11, 128, c)
     assert len(seen) == 2 and seen[0].tolist() == [1.5, 128.5, 129.0, 2001.0] and seen[1] == 129.0
+
+
+def test_tables_round_each_coefficient_once_above_theta_one():
+    # at theta = lambda a = 20 route A's tables sum d_k = c0_k / theta + c1_k;
+    # (1 / theta) c0_k + c1_k rounds twice and moves both values by an ulp
+    p = MinUExpParams(5.0, 4.0)
+    for s, c, ref in ((78, 7.8193900730652715, 83.11449072512556), (66, 10.044621314517999, 53.700611544144785)):
+        assert p.a * c < s + 1
+        assert log_mixing_kernel(p, float(s), c) == ref
+        assert log_mixing_kernel(p, np.arange(128.0), c)[s] == ref
 
 
 def test_count_pmf_makes_no_incomplete_gamma_call(monkeypatch):
