@@ -64,7 +64,7 @@ chosen by its own (s, z) and the call's theta:
   z >= s + 1, so the log1p argument is above -1/2 and does not cancel;
   e^E <= 1/e and theta/g <= theta, so nothing overflows.  S is summed by
   Horner in 1/z.  Where E < -700, e^E is taken as exactly 0: exp runs on
-  max(E, -700), never on the subnormal results it is slow on, and those
+  E times 0 there, never on the subnormal results it is slow on, and those
   elements are zeroed after.  There z > s + 695, so theta/g and S are
   both below 1.2 and the dropped term is under 1e-303.  lgamma is the
   exact sum (math.fsum) of the rounded logs of 2..s, built with the
@@ -113,13 +113,11 @@ cache is bounded:
 * _integer_tables, keyed by route: the tables of the 128 integer orders
   of that route, built in one go (about 2 ms), 225 kB for route A and
   131 kB for route B;
-* _table, keyed by (route, order), at most 256 orders: an integer order's
-  column of the above;
-* _rows, keyed by (route, order), at most 256 orders: the same
-  coefficients as lists of Python floats for the scalar path, about
-  32 bytes each, so at most 7 kB per route-A order and 4 kB per route-B
-  order; the 256 integer orders take about 1 MB (680 kB of route A and
-  300 kB of route B, by tracemalloc).
+* _rows, keyed by (route, order), at most 256 orders: an integer order's
+  column of the above as lists of Python floats, about 32 bytes each, so
+  at most 7 kB per route-A order and 4 kB per route-B order; the 256
+  integer orders take about 1 MB (680 kB of route A and 300 kB of route
+  B, by tracemalloc).
 
 count_pmf keeps one more, its array of log n! (minuexp.counting): it
 grows to the largest count asked for, and stops at 2^14 entries (128 kB).
@@ -133,8 +131,8 @@ the arguments it reads (the tables of route A never read c), and its
 results are put back by index.  Each Horner pass is one multiply and one
 add, highest coefficient first:
 
-* a scalar order over an array of c (as erlang_pdf calls it) runs its own
-  table, the coefficients d_k formed once as floats;
+* a single order over an array of c (as erlang_pdf calls it) runs its own
+  table, route A forming each d_k = c0_k + theta c1_k in its pass;
 * an array of orders (as count_pmf and mean_xi_given_count call it) runs
   every element over the largest table length its orders need, with one
   column of coefficients per order, a column shorter than the longest
@@ -145,16 +143,8 @@ add, highest coefficient first:
   each pass takes its coefficients by each element's column;
 * the series engine gives each element the bits of its own sum, whatever
   the call's shape (see minuexp.gamma_kernel);
-* a call with 0-d s and c takes a scalar path on Python floats, whose
-  + - * / are the IEEE operations numpy applies to each array element.
-  Routes A, B and C run the same passes and operations there, route A's
-  d_k formed inside its Horner loop from the order's cached rows, never as
-  a numpy operation: each of those on a 0-d array or a short row costs a
-  microsecond or more.  Their exp, log and log1p are np.exp, np.log and
-  np.log1p applied to floats, never math's: those can differ from
-  numpy's in the last bit (math.exp did at s = 1), and the scalar path
-  must give the bits of the same point inside an array.  The series
-  engine and the limit run their array functions on floats.
+* a call with 0-d s and c runs the same route functions on floats, and a
+  single order sums over its _rows whether z is a float or an array.
 
 The module also holds B(x) = x - 1 + e^(-x), A(x) = x - 2 + (x + 2) e^(-x)
 and C(x) = 1 - (1 + x) e^(-x) without cancellation (_stable_B, _stable_A,
@@ -266,34 +256,19 @@ def _integer_tables(builder):
 
 
 @functools.lru_cache(maxsize=2 * _POISSON_WIDTH)
-def _table(builder, s: float) -> tuple[np.ndarray, int, float]:
-    """builder's table of one integer order (its column of the integer
-    orders' tables), its count and its constant."""
+def _rows(builder, s: float) -> tuple[list, float]:
+    """builder's coefficients of one integer order (its column of the
+    integer orders' tables) as Python floats, trimmed to its count, and its
+    constant: what a single order sums over."""
     table, counts, consts = _integer_tables(builder)
     column = int(s)
-    return table[..., column], int(counts[column]), float(consts[column])
+    return table[..., table.shape[-2] - counts[column] :, column].tolist(), float(consts[column])
 
 
-@functools.lru_cache(maxsize=2 * _POISSON_WIDTH)
-def _rows(builder, s: float) -> tuple[list, float]:
-    """_table's coefficients of one order as Python floats, trimmed to its
-    count, and its constant: what the scalar path sums over."""
-    table, count, const = _table(builder, s)
-    return table[..., table.shape[-1] - count :].tolist(), const
-
-
-def _tables(builder, s):
-    """The coefficients, the constant and the column index of integer order
-    s, or of each element of an array of them.
-
-    A scalar order gets its own table, its constant and None.  An array of
-    orders gets the tables of all integer orders, stacked with one column
-    per order, the constants of its elements and each element's column.
-    The rows are trimmed to the longest table the orders need.
-    """
-    if isinstance(s, float):
-        table, count, const = _table(builder, s)
-        return table[..., table.shape[-1] - count :], const, None
+def _tables(builder, s: np.ndarray):
+    """The tables of all integer orders, stacked with one column per order
+    and trimmed to the longest table the orders s need, the constants of
+    s's elements and each element's column."""
     table, counts, consts = _integer_tables(builder)
     which = s.astype(np.intp)
     count = int(counts.take(which).max())
@@ -304,7 +279,7 @@ def _log_factorial(s: float) -> float:
     """lgamma(s + 1): route B's table at integer s <= 127, math.lgamma
     otherwise, inf where that overflows."""
     if s <= _OWN_MAX_ORDER and s.is_integer():
-        return _table(_poisson_tables, s)[2]
+        return float(_integer_tables(_poisson_tables)[2][int(s)])
     try:
         return math.lgamma(s + 1.0)
     except OverflowError:
@@ -315,24 +290,20 @@ def _log_factorial(s: float) -> float:
 # Horner sums
 
 
-def _horner(coef: np.ndarray, x, which) -> np.ndarray:
+def _horner(coef, x, which=None):
     """sum_k coef[k] x^(n-1-k) over the n rows of coef, by Horner.
 
-    coef is one row of coefficients (which is None), or has one column per
-    order, each element taking the column which gives it.  A column shorter
-    than the longest starts with zeros, and 0 x + 0 = 0 exactly, so its
-    elements start on their own top coefficient, as its own row does.  With
-    one x for all elements, the sums run over the columns, which the
-    elements then take.
+    coef is one row of coefficients as a list of floats (which is None), or
+    has one column per order, each element taking the column which gives
+    it.  A column shorter than the longest starts with zeros, and
+    0 x + 0 = 0 exactly, so its elements start on their own top
+    coefficient, as its own row does.  With one x for all elements, the sums
+    run over the columns, which the elements then take.
     """
     if which is None:
-        values = coef.tolist()
-        if len(values) == 1:
-            return np.full(x.shape, values[0])
-        # x c_0, the first pass's product, without filling an array with c_0
-        acc = x * values[0]
-        acc += values[1]
-        for value in values[2:]:
+        # c_0 x, the first pass's product, makes an array x's array
+        acc = coef[0]
+        for value in coef[1:]:
             acc *= x
             acc += value
         return acc
@@ -354,35 +325,31 @@ def _horner(coef: np.ndarray, x, which) -> np.ndarray:
 # the routes
 
 
-def _log_kummer(log_a: float, theta: float, s, z) -> np.ndarray:
+def _log_kummer(log_a: float, theta: float, s, z):
     """Route A on the tables, z < s + 1 at integer s <= 127:
     log J = s log a - log(s+1) - z + log sum, the sum by Horner over
     d_k = c0_k + theta c1_k where theta <= 1, and c0_k / theta + c1_k, the
-    sum over theta, otherwise."""
-    table, log_s1, which = _tables(_kummer_tables, s)
-    if theta <= 1.0:
-        coef, log_out = table[0] + theta * table[1], 0.0
-    else:
-        coef, log_out = table[0] / theta + table[1], math.log(theta)
-    return s * log_a - log_s1 + log_out - z + np.log(_horner(coef, z, which))
-
-
-def _log_kummer_one(log_a: float, theta: float, s: float, z: float) -> float:
-    """_log_kummer at one element, on Python floats: each d_k is formed
-    inside the Horner loop, from the order's cached rows, in the
-    operations numpy applies to each element."""
+    sum over theta, otherwise.  A single order forms each d_k in its pass
+    from the order's rows, starting from d_0."""
+    log_out = 0.0 if theta <= 1.0 else math.log(theta)
+    if not isinstance(s, float):
+        table, log_s1, which = _tables(_kummer_tables, s)
+        coef = table[0] + theta * table[1] if theta <= 1.0 else table[0] / theta + table[1]
+        return s * log_a - log_s1 + log_out - z + np.log(_horner(coef, z, which))
     (c0, c1), log_s1 = _rows(_kummer_tables, s)
-    # 0 z + d_0 = d_0 exactly at the finite z of route A
-    total = 0.0
+    pairs = zip(c0, c1)
+    u, v = next(pairs)
     if theta <= 1.0:
-        log_out = 0.0
-        for u, v in zip(c0, c1):
-            total = total * z + (u + theta * v)
+        acc = u + theta * v
+        for u, v in pairs:
+            acc *= z
+            acc += u + theta * v
     else:
-        log_out = math.log(theta)
-        for u, v in zip(c0, c1):
-            total = total * z + (u / theta + v)
-    return s * log_a - log_s1 + log_out - z + float(np.log(total))
+        acc = u / theta + v
+        for u, v in pairs:
+            acc *= z
+            acc += u / theta + v
+    return s * log_a - log_s1 + log_out - z + np.log(acc)
 
 
 def _log_kummer_series(log_a: float, theta: float, s, z):
@@ -393,7 +360,7 @@ def _log_kummer_series(log_a: float, theta: float, s, z):
     return s * log_a - np.log(s + 1.0) + _weights(theta)[2] - z + np.log(sums)
 
 
-def _log_poisson(log_a: float, theta: float, s, z, c) -> np.ndarray:
+def _log_poisson(log_a: float, theta: float, s, z, c):
     """Route B, finite z >= s + 1 and integer s <= 127: with
     E = s log z - z - lgamma(s+1), S = sum_j s!/(s-j)! z^-j and
     g = theta (z - s - 1)/z + 1 = q / c,
@@ -401,30 +368,21 @@ def _log_poisson(log_a: float, theta: float, s, z, c) -> np.ndarray:
         log J = lgamma(s+1) - log a - (s+1) log c + log g
                 + log1p(e^E (theta/g - S)).
     """
-    table, lgamma, which = _tables(_poisson_tables, s)
-    total = _horner(table, 1.0 / z, which)
+    if isinstance(s, float):
+        coef, lgamma = _rows(_poisson_tables, s)
+        total = _horner(coef, 1.0 / z)
+    else:
+        table, lgamma, which = _tables(_poisson_tables, s)
+        total = _horner(table, 1.0 / z, which)
     e = s * np.log(z) - z - lgamma
-    # e^E at E >= _EXP_FLOOR, exactly 0 below it (and at a NaN E)
-    tail = np.exp(np.maximum(e, _EXP_FLOOR))
-    np.putmask(tail, ~(e >= _EXP_FLOOR), 0.0)
+    # e^E at E >= _EXP_FLOOR, and exactly 0 below it, where exp runs on 0
+    # (E is finite here)
+    keep = e >= _EXP_FLOOR
+    tail = np.exp(e * keep) * keep
     g = theta * ((z - (s + 1.0)) / z) + 1.0
     return (
         lgamma - log_a - (s + 1.0) * np.log(c) + np.log(g) + np.log1p(tail * (theta / g - total))
     )
-
-
-def _log_poisson_one(log_a: float, theta: float, s: float, z: float, c: float) -> float:
-    """_log_poisson at one element, on Python floats."""
-    coef, lgamma = _rows(_poisson_tables, s)
-    # _horner's passes over 1/z
-    x, total = 1.0 / z, coef[0]
-    for value in coef[1:]:
-        total = total * x + value
-    e = s * float(np.log(z)) - z - lgamma
-    tail = float(np.exp(e)) if e >= _EXP_FLOOR else 0.0
-    g = theta * ((z - (s + 1.0)) / z) + 1.0
-    log_g, log_c = float(np.log(g)), float(np.log(c))
-    return lgamma - log_a - (s + 1.0) * log_c + log_g + float(np.log1p(tail * (theta / g - total)))
 
 
 def _log_limit(log_a: float, theta: float, s, c):
@@ -443,30 +401,16 @@ def _log_combine(a: float, lam: float, s, z, c):
     q = c g and route B's g = theta (z - s - 1)/z + 1."""
     log_a, log_c = np.log(a), np.log(c)
     g = lam * a * ((z - (s + 1.0)) / z) + 1.0
+    log_t2 = np.log(lam) + s * log_a - z - log_c
+    # log|g| is -inf at g = 0, and so is the log of a clamped sum; shifting
+    # by m keeps both exponentials in [0, 1] however far |t1| exceeds t2
+    # where g > 0
     with np.errstate(divide="ignore"):
         log_abs_g = np.log(np.abs(g))
-    log_abs_t1 = _log_lower_incomplete_gamma(s + 1.0, z) + log_abs_g - log_a - (s + 1.0) * log_c
-    log_t2 = np.log(lam) + s * log_a - z - log_c
-
-    # shifting by m keeps both exponentials in [0, 1] however far |t1|
-    # exceeds t2 where g > 0
-    with np.errstate(divide="ignore"):
+        log_abs_t1 = _log_lower_incomplete_gamma(s + 1.0, z) + log_abs_g - log_a - (s + 1.0) * log_c
         m = np.maximum(log_abs_t1, log_t2)
         total = np.copysign(np.exp(log_abs_t1 - m), g) + np.exp(log_t2 - m)
         return m + np.log(np.maximum(total, 0.0))
-
-
-def _log_combine_one(a: float, lam: float, s: float, z: float, c: float) -> float:
-    """_log_combine at one element, on Python floats."""
-    log_a, log_c = float(np.log(a)), float(np.log(c))
-    g = lam * a * ((z - (s + 1.0)) / z) + 1.0
-    log_abs_g = float(np.log(abs(g))) if g != 0.0 else -math.inf
-    log_abs_t1 = _log_lower_incomplete_gamma(s + 1.0, z) + log_abs_g - log_a - (s + 1.0) * log_c
-    log_t2 = float(np.log(lam)) + s * log_a - z - log_c
-    # np.maximum's choice, NaN included, without its microsecond
-    m = log_abs_t1 if log_abs_t1 >= log_t2 or log_abs_t1 != log_abs_t1 else log_t2
-    total = math.copysign(float(np.exp(log_abs_t1 - m)), g) + float(np.exp(log_t2 - m))
-    return m + (float(np.log(total)) if not total <= 0.0 else -math.inf)
 
 
 # --------------------------------------------------------------------------
@@ -591,26 +535,27 @@ def log_mixing_kernel(params: MinUExpParams, s, c):
 
 
 def _log_mixing_kernel_one(a: float, lam: float, s: float, c: float) -> float:
-    """log_mixing_kernel at one point, in the array path's operations and
-    order on Python floats (see the module docstring)."""
+    """log_mixing_kernel at one point: the array path's routes, chosen in
+    Python and run on floats."""
     if not -1.0 < s < math.inf:
         raise ValueError(_S_DOMAIN)
     if not 0.0 < c < math.inf:
         raise ValueError(_C_DOMAIN)
     z, theta = a * c, lam * a
     if theta < math.inf:
+        log_a = math.log(a)
         own = s <= _OWN_MAX_ORDER and s.is_integer()
         if z < s + 1.0:
             if own:
-                return _log_kummer_one(math.log(a), theta, s, z)
-            value = float(_log_kummer_series(math.log(a), theta, s, z))
+                return float(_log_kummer(log_a, theta, s, z))
+            value = float(_log_kummer_series(log_a, theta, s, z))
             if value == value:
                 return value
         elif z == math.inf:
-            return float(_log_limit(math.log(a), theta, s, c))
+            return float(_log_limit(log_a, theta, s, c))
         elif own:
-            return _log_poisson_one(math.log(a), theta, s, z, c)
-    return _log_combine_one(a, lam, s, z, c)
+            return float(_log_poisson(log_a, theta, s, z, c))
+    return float(_log_combine(a, lam, s, z, c))
 
 
 def mixing_kernel(params: MinUExpParams, s, c):
@@ -623,7 +568,7 @@ def mixing_kernel(params: MinUExpParams, s, c):
 # B, A and C without cancellation
 
 
-def _taylor_rows() -> tuple[np.ndarray, np.ndarray]:
+def _taylor_rows() -> tuple[list, list]:
     """Ascending Taylor coefficients of B and A for j < _TAYLOR_TERMS,
     highest j first, as _horner takes them:
       B(x) = x - 1 + e^(-x)          = sum_{j>=2} (-1)^j x^j / j!
@@ -632,7 +577,7 @@ def _taylor_rows() -> tuple[np.ndarray, np.ndarray]:
     j = range(_TAYLOR_TERMS - 1, -1, -1)
     b = [(-1.0) ** i / math.factorial(i) if i >= 2 else 0.0 for i in j]
     a = [(-1.0) ** i * (2.0 - i) / math.factorial(i) if i >= 3 else 0.0 for i in j]
-    return np.array(b), np.array(a)
+    return b, a
 
 
 _B_ROWS, _A_ROWS = _taylor_rows()

@@ -182,9 +182,7 @@ def ordered_pmf(params: MinUExpParams, mu, k) -> float:
     if np.any(steps < 0):
         return 0.0
     widths = np.diff(grid, prepend=0.0)
-    log_product = float(
-        np.sum(steps * np.log(widths) - np.array([math.lgamma(s + 1.0) for s in steps]))
-    )
+    log_product = float(np.sum(steps * np.log(widths) - _log_factorials(steps)))
     log_bracket = log_mixing_kernel(params, int(counts[-1]), params.lam + float(grid[-1]))
     return math.exp(log_product + log_bracket)
 

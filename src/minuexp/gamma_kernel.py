@@ -41,16 +41,14 @@ takes one of two routes, chosen by its own x:
 
 * x <= 8, any real s: the series above at theta = 0.  At x <= 8 one
   element needs at most 42 passes, as s -> 0 at x = 8, where the terms
-  are 8^k/k! (tests/test_gamma_kernel.py re-derives the bound).  Calls of
-  a few elements go element by element in Python floats, with the logs by
-  np.log.  No scipy.
+  are 8^k/k! (tests/test_gamma_kernel.py re-derives the bound).  No
+  scipy.
 * x > 8: the regularized scipy.special.gammainc, times Gamma(s) through
   gammaln of the order as given (never its broadcast).  Where the
   regularized value is at or below 1e-290, too close to underflow to take
   a log of, the element is NaN, with one RuntimeWarning per call.  x far
   below s takes that outcome; route C sends such elements only at kernel
-  orders above about 1e8, in its cap band.  Calls of a few elements take
-  the same ufuncs one element at a time.
+  orders above about 1e8, in its cap band.
 
 scipy.special is imported only when some element takes the second route:
 importing it takes about 0.26 s, more than half the wall time of a short
@@ -70,9 +68,6 @@ __all__: list[str] = []
 _SERIES_X_MAX = 8.0
 # A term below this times the sum is under half an ulp of it.
 _ABSORBED = 2.0**-54
-# Calls with at most this many elements run element by element in Python
-# floats: a numpy pass costs about a microsecond however few its elements.
-_PER_ELEMENT_MAX = 16
 
 # At or below this the regularized lower gamma is too close to the
 # underflow threshold to take a log of.
@@ -174,13 +169,12 @@ def _log_from_sum(s, x, total):
         return s * np.log(x) - x - np.log(s) + np.log(total)
 
 
-def _log_series(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log gamma(s, x) by the series, for x <= 8 (flat arrays, or a 0-d s)."""
-    order = float(s) if s.ndim == 0 else s
-    return _log_from_sum(s, x, _ascending(order, x))
+def _log_series(s, x):
+    """log gamma(s, x) by the series, for x <= 8 (floats or flat arrays)."""
+    return _log_from_sum(s, x, _ascending(s, x))
 
 
-def _log_regularized(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _log_regularized(s, x):
     """log gamma(s, x) through scipy's regularized function, for x > 8.
 
     gammaln is taken on the order as given, not on its broadcast; elements
@@ -199,26 +193,6 @@ def _log_regularized(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_one(s: float, x: float):
-    """log gamma(s, x) at one element: the array routes' arithmetic, element
-    by element, without numpy's fixed cost per array operation."""
-    if not 0.0 < s < math.inf:
-        raise ValueError(_S_DOMAIN)
-    if not x >= 0.0:
-        raise ValueError(_X_DOMAIN)
-    if x == 0.0:
-        return -math.inf
-    if x <= _SERIES_X_MAX:
-        return s * np.log(x) - x - np.log(s) + np.log(_ascending_sum(s, x)[0])
-    from scipy import special as sp
-
-    reg = sp.gammainc(s, x)
-    if reg > _REGULARIZED_FLOOR:
-        return np.log(reg) + sp.gammaln(s)
-    warnings.warn(_UNDERFLOW_WARNING, RuntimeWarning)
-    return math.nan
-
-
 def _log_lower_incomplete_gamma(s, x):
     """log of gamma(s, x), usable where gamma(s, x) itself underflows.
 
@@ -230,26 +204,27 @@ def _log_lower_incomplete_gamma(s, x):
     Accepts scalars or arrays, broadcast against each other.
     """
     if isinstance(s, (float, int)) and isinstance(x, (float, int)):
-        return float(_log_one(float(s), float(x)))
+        s, x = float(s), float(x)
+        if not 0.0 < s < math.inf:
+            raise ValueError(_S_DOMAIN)
+        if not x >= 0.0:
+            raise ValueError(_X_DOMAIN)
+        return float((_log_series if x <= _SERIES_X_MAX else _log_regularized)(s, x))
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
-    pairs = np.broadcast(s, x)
-    if pairs.size <= _PER_ELEMENT_MAX:
-        out = np.array([_log_one(float(a), float(b)) for a, b in pairs]).reshape(pairs.shape)
-        return out if out.ndim else float(out)
     if not ((s > 0.0) & (s < np.inf)).all():
         raise ValueError(_S_DOMAIN)
     if not (x >= 0.0).all():
         raise ValueError(_X_DOMAIN)
     # each route takes its elements by index, and a scalar order stays a
-    # scalar
-    shape = pairs.shape
+    # float
+    shape = np.broadcast_shapes(s.shape, x.shape)
     x_b = np.broadcast_to(x, shape).ravel()
-    s_b = s if s.ndim == 0 else np.broadcast_to(s, shape).ravel()
+    s_b = float(s) if s.ndim == 0 else np.broadcast_to(s, shape).ravel()
     series = x_b <= _SERIES_X_MAX
     out = np.empty(x_b.size)
     for route, mask in ((_log_series, series), (_log_regularized, ~series)):
         if mask.any():
             index = np.flatnonzero(mask)
-            out[index] = route(s_b if s.ndim == 0 else s_b.take(index), x_b.take(index))
-    return out.reshape(shape)
+            out[index] = route(s_b if isinstance(s_b, float) else s_b.take(index), x_b.take(index))
+    return out.reshape(shape) if shape else float(out[0])

@@ -111,7 +111,7 @@ def tau_moment(params: MinUExpParams, power: float) -> float:
 
     tau = eta/xi with eta ~ Exp(1) independent of xi, so this is the
     arrival-epoch moment at n = 1.  Returns math.inf outside that range
-    (the moment diverges there).
+    (the moment diverges there), and raises ValueError for a NaN power.
     """
     return erlang_moment(params, 1, power)
 
@@ -272,9 +272,12 @@ def erlang_moment(params: MinUExpParams, n: int, power: float) -> float:
 
     since T_n = G/xi with G ~ Gamma(n, 1) independent of xi.  The gamma
     ratio and the kernel are combined in log space, so large n stays
-    finite.  Returns math.inf outside that range.
+    finite.  Returns math.inf outside that range, and raises ValueError for
+    a NaN power.
     """
     n = _integer(n, "event index n must be a positive integer")
+    if math.isnan(power):
+        raise ValueError("moment power p must be a real number, not NaN")
     if not -float(n) < power < 1.0:
         return math.inf
     log_ratio = math.lgamma(power + n) - math.lgamma(n)

@@ -33,7 +33,8 @@ FROZEN_TAU_CDF_AT_1 = 0.2838338208091532
 FROZEN_TAU_PDF_AT_1 = 0.21616617919084682
 FROZEN_TAU_MOMENT_HALF = 2.3115916313154896
 FROZEN_ERLANG2_MOMENT_HALF = 3.4673874469732344
-FROZEN_BIVARIATE_1_HALF = 0.27590958087906077
+# 0.75/e = 0.2759095808785817411966..., correctly rounded
+FROZEN_BIVARIATE_1_HALF = 0.27590958087858175
 FROZEN_MULTIVARIATE_2 = 0.1080830895954234
 FROZEN_COUNT_PMF_2 = 0.0540415447977117
 FROZEN_ORDERED_12 = 0.02702077239885585

@@ -41,7 +41,7 @@ class TestEval:
             x_s, v_s = line.split(",")
             assert float(v_s) == hazard(p, float(x_s))
         row_100 = dict(tuple(line.split(",")) for line in lines[1:])["100"]
-        assert float(row_100) == pytest.approx(0.14, rel=1e-14)
+        assert float(row_100) == pytest.approx(0.14, rel=1e-14, abs=0.0)
 
     def test_count_pmf_rows(self, capsys):
         code, out, _ = run_cli(
@@ -67,7 +67,7 @@ class TestEval:
         assert code == 0
         rows = json.loads(out)
         assert rows[-1]["value"] == 1.0
-        assert rows[2]["value"] == pytest.approx(0.6967346701436833, rel=1e-15)
+        assert rows[2]["value"] == pytest.approx(0.6967346701436833, rel=1e-15, abs=0.0)
 
     def test_erlang_pdf_and_posterior_mean_paths(self, capsys):
         code, out, _ = run_cli(
@@ -145,8 +145,8 @@ class TestSampleAndFit:
         payload = json.loads(out)
         assert payload["method"] == "mom"
         assert payload["converged"] is True
-        assert payload["a_hat"] == pytest.approx(110.0, rel=0.10)
-        assert payload["lambda_hat"] == pytest.approx(0.04, rel=0.10)
+        assert payload["a_hat"] == pytest.approx(110.0, rel=0.10, abs=0.0)
+        assert payload["lambda_hat"] == pytest.approx(0.04, rel=0.10, abs=0.0)
         reference = fit_mom(sample(MinUExpParams(110.0, 0.04), make_stream(2024), size=100_000))
         assert payload["a_hat"] == reference.a_hat
 
@@ -160,7 +160,7 @@ class TestSampleAndFit:
         assert code == 0
         payload = json.loads(out)
         assert payload["objective"] >= 0.0
-        assert payload["a_hat"] == pytest.approx(1.0, rel=0.10)
+        assert payload["a_hat"] == pytest.approx(1.0, rel=0.10, abs=0.0)
 
     def test_fit_reports_optimizer_counts(self, capsys, tmp_path):
         draws = tmp_path / "draws.csv"

@@ -56,9 +56,9 @@ from conftest import (
 
 class TestCountPmf:
     def test_frozen_values(self):
-        assert count_pmf(P11, 0) == pytest.approx(FROZEN_LST_AT_1, rel=1e-12)
-        assert count_pmf(P11, 1) == pytest.approx(FROZEN_TAU_PDF_AT_1, rel=1e-12)
-        assert count_pmf(P11, 2) == pytest.approx(FROZEN_COUNT_PMF_2, rel=1e-12)
+        assert count_pmf(P11, 0) == pytest.approx(FROZEN_LST_AT_1, rel=1e-12, abs=0.0)
+        assert count_pmf(P11, 1) == pytest.approx(FROZEN_TAU_PDF_AT_1, rel=1e-12, abs=0.0)
+        assert count_pmf(P11, 2) == pytest.approx(FROZEN_COUNT_PMF_2, rel=1e-12, abs=0.0)
 
     def test_mixture_oracle(self):
         for p in PARAM_GRID:
@@ -66,7 +66,7 @@ class TestCountPmf:
                 ref = mix_integral(
                     p, lambda x, n=n: x**n * math.exp(-x) / math.factorial(n)
                 )
-                assert count_pmf(p, n) == pytest.approx(ref.value, rel=1e-8)
+                assert count_pmf(p, n) == pytest.approx(ref.value, rel=1e-8, abs=0.0)
 
     def test_truncated_normalization(self):
         for p in PARAM_GRID + [P110]:
@@ -89,7 +89,7 @@ class TestCountPmf:
             integrand = lambda x: x**n * mpmath.e ** (-x * c) * (1 + lam * a - lam * x) / a
             ref = float(mpmath.quad(integrand, [0, a]) / mpmath.factorial(n))
             got = float(count_pmf(P11, n))
-            assert got == pytest.approx(ref, rel=1e-10)
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ class TestScaledParams:
                 scaled = scaled_count_params(p, mu_t)
                 for n in range(0, 11):
                     marginal = ordered_pmf(p, [mu_t], [n])
-                    assert count_pmf(scaled, n) == pytest.approx(marginal, rel=1e-12)
+                    assert count_pmf(scaled, n) == pytest.approx(marginal, rel=1e-12, abs=0.0)
 
     def test_is_the_scaled_mixing_law(self):
         for p in PARAM_GRID + [MinUExpParams(110.0, 0.04)]:
@@ -123,7 +123,7 @@ class TestScaledParams:
 class TestPgf:
     def test_at_zero_equals_zero_count(self):
         for p in PARAM_GRID:
-            assert pgf(p, 1.0, 0.0) == pytest.approx(float(count_pmf(p, 0)), rel=1e-12)
+            assert pgf(p, 1.0, 0.0) == pytest.approx(float(count_pmf(p, 0)), rel=1e-12, abs=0.0)
 
     def test_at_one_is_normalized(self):
         for p in PARAM_GRID:
@@ -146,18 +146,18 @@ class TestPgf:
 class TestMeanVar:
     def test_frozen_pair(self):
         mean, var = count_mean_var(P11, 1.0)
-        assert mean == pytest.approx(FROZEN_COUNT_MEAN, rel=1e-10)
-        assert var == pytest.approx(FROZEN_COUNT_VAR, rel=1e-10)
+        assert mean == pytest.approx(FROZEN_COUNT_MEAN, rel=1e-10, abs=0.0)
+        assert var == pytest.approx(FROZEN_COUNT_VAR, rel=1e-10, abs=0.0)
 
     def test_overdispersion_decomposition(self):
         mean, var = count_mean_var(P11, 1.0)
-        assert var - mean == pytest.approx(FROZEN_VARIANCE, rel=1e-10)
+        assert var - mean == pytest.approx(FROZEN_VARIANCE, rel=1e-10, abs=0.0)
         for p in PARAM_GRID + [P110]:
             for mu_t in (0.5, 1.0, 4.0):
                 m, v = count_mean_var(p, mu_t)
                 assert v > m
-                assert m == pytest.approx(mu_t * raw_moment(p, 1), rel=1e-12)
-                assert v - m == pytest.approx(mu_t**2 * variance(p), rel=1e-12)
+                assert m == pytest.approx(mu_t * raw_moment(p, 1), rel=1e-12, abs=0.0)
+                assert v - m == pytest.approx(mu_t**2 * variance(p), rel=1e-12, abs=0.0)
 
     def test_against_mpmath_over_a_wide_domain(self):
         # the expanded forms in z = a lambda were up to 1.7e7 (mean) and
@@ -192,19 +192,19 @@ class TestMeanVar:
             pmf = count_pmf(p, ns)
             assert pmf[-1] < 1e-18
             mean, var = count_mean_var(p, 1.0)
-            assert float(np.sum(ns * pmf)) == pytest.approx(mean, rel=1e-8)
-            assert float(np.sum(ns**2 * pmf) - mean**2) == pytest.approx(var, rel=1e-8)
+            assert float(np.sum(ns * pmf)) == pytest.approx(mean, rel=1e-8, abs=0.0)
+            assert float(np.sum(ns**2 * pmf) - mean**2) == pytest.approx(var, rel=1e-8, abs=0.0)
 
 
 class TestFactorialMoment:
     def test_first_equals_mean(self):
         for p in PARAM_GRID:
             mean, _ = count_mean_var(p, 1.3)
-            assert factorial_moment(p, 1.3, 1) == pytest.approx(mean, rel=1e-12)
+            assert factorial_moment(p, 1.3, 1) == pytest.approx(mean, rel=1e-12, abs=0.0)
 
     def test_second_equals_second_mixing_moment(self):
         ref = mix_integral(P11, lambda x: x * x).value
-        assert factorial_moment(P11, 1.0, 2) == pytest.approx(ref, rel=1e-10)
+        assert factorial_moment(P11, 1.0, 2) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_monte_carlo_band(self):
         counts = sample_grid_counts(P11, LinearMu(1.0), [1.0], 1_000_000, make_stream(61))
@@ -221,14 +221,14 @@ class TestFactorialMoment:
 
 class TestJointGrids:
     def test_frozen_example(self):
-        assert ordered_pmf(P11, [0.5, 1.0], [1, 2]) == pytest.approx(0.02702077239885585, rel=1e-12)
+        assert ordered_pmf(P11, [0.5, 1.0], [1, 2]) == pytest.approx(0.02702077239885585, rel=1e-12, abs=0.0)
         assert increments_pmf(P11, [0.5, 1.0], [1, 1]) == pytest.approx(
-            0.02702077239885585, rel=1e-12
+            0.02702077239885585, rel=1e-12, abs=0.0
         )
 
     def test_single_time_zero_count(self):
-        assert ordered_pmf(P11, [1.0], [0]) == pytest.approx(FROZEN_LST_AT_1, rel=1e-12)
-        assert increments_pmf(P11, [1.0], [0]) == pytest.approx(FROZEN_LST_AT_1, rel=1e-12)
+        assert ordered_pmf(P11, [1.0], [0]) == pytest.approx(FROZEN_LST_AT_1, rel=1e-12, abs=0.0)
+        assert increments_pmf(P11, [1.0], [0]) == pytest.approx(FROZEN_LST_AT_1, rel=1e-12, abs=0.0)
 
     def test_non_monotone_is_outside_support(self):
         assert ordered_pmf(P11, [0.5, 1.0], [2, 1]) == 0.0
@@ -269,14 +269,14 @@ class TestJointGrids:
                 bracket = mix_integral(
                     p, lambda x, k=kvec[-1]: x**k * math.exp(-grid[-1] * x)
                 ).value
-                assert ordered_pmf(p, grid, kvec) == pytest.approx(product * bracket, rel=1e-8)
+                assert ordered_pmf(p, grid, kvec) == pytest.approx(product * bracket, rel=1e-8, abs=0.0)
 
     def test_increments_equal_reparameterized_ordered(self):
         for m1 in range(7):
             for m2 in range(7):
                 lhs = increments_pmf(P11, [0.5, 1.0], [m1, m2])
                 rhs = ordered_pmf(P11, [0.5, 1.0], [m1, m1 + m2])
-                assert lhs == pytest.approx(rhs, rel=1e-12)
+                assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
 
     def test_total_mass_truncated(self):
         total = sum(
@@ -387,7 +387,7 @@ class TestXiGivenCount:
 class TestMeanXiGivenCount:
     def test_frozen_value(self):
         assert mean_xi_given_count(P11, 1.0, 0) == pytest.approx(
-            FROZEN_XI_MEAN_GIVEN_N0, rel=1e-12
+            FROZEN_XI_MEAN_GIVEN_N0, rel=1e-12, abs=0.0
         )
 
     def test_quadrature_oracle(self):
@@ -395,7 +395,7 @@ class TestMeanXiGivenCount:
             for n in (0, 1, 4):
                 num = mix_integral(p, lambda x, n=n: x ** (n + 1) * math.exp(-x * 0.9)).value
                 den = mix_integral(p, lambda x, n=n: x**n * math.exp(-x * 0.9)).value
-                assert mean_xi_given_count(p, 0.9, n) == pytest.approx(num / den, rel=1e-8)
+                assert mean_xi_given_count(p, 0.9, n) == pytest.approx(num / den, rel=1e-8, abs=0.0)
 
     def test_shrinks_below_prior_at_zero_count(self):
         assert mean_xi_given_count(P11, 1.0, 0) < FROZEN_MEAN
@@ -420,14 +420,14 @@ class TestMeanXiGivenCount:
 
 class TestConditionalBinomial:
     def test_examples(self):
-        assert conditional_binomial_pmf(2, 0.5, 1) == pytest.approx(0.5, rel=1e-15)
-        assert conditional_binomial_pmf(2, 0.5, 0) == pytest.approx(0.25, rel=1e-15)
+        assert conditional_binomial_pmf(2, 0.5, 1) == pytest.approx(0.5, rel=1e-15, abs=0.0)
+        assert conditional_binomial_pmf(2, 0.5, 0) == pytest.approx(0.25, rel=1e-15, abs=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(0, 40), ratio=st.floats(0.01, 0.99))
     def test_sums_to_one(self, n, ratio):
         total = sum(conditional_binomial_pmf(n, ratio, j) for j in range(n + 1))
-        assert total == pytest.approx(1.0, rel=1e-12)
+        assert total == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

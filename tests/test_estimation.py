@@ -73,8 +73,8 @@ def bisection_roots(r_hats):
 class TestEmpiricalMoments:
     def test_examples(self):
         m1, m2 = empirical_moments([1.0, 2.0, 3.0])
-        assert m1 == pytest.approx(2.0, rel=1e-15)
-        assert m2 == pytest.approx(14.0 / 3.0, rel=1e-15)
+        assert m1 == pytest.approx(2.0, rel=1e-15, abs=0.0)
+        assert m2 == pytest.approx(14.0 / 3.0, rel=1e-15, abs=0.0)
         m1, m2 = empirical_moments([0.7] * 5)
         assert (m1, m2) == (pytest.approx(0.7), pytest.approx(0.49))
 
@@ -100,14 +100,14 @@ class TestRatioG:
         assert abs(ratio_G(1e3) - 2.0) < 1e-2
 
     def test_value_at_one_is_the_moment_ratio(self):
-        assert ratio_G(1.0) == pytest.approx(FROZEN_G_AT_1, rel=1e-12)
+        assert ratio_G(1.0) == pytest.approx(FROZEN_G_AT_1, rel=1e-12, abs=0.0)
         ref = raw_moment(P11, 2) / raw_moment(P11, 1) ** 2
-        assert ratio_G(1.0) == pytest.approx(ref, rel=1e-12)
+        assert ratio_G(1.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_matches_population_ratio_across_grid(self):
         for p in PARAM_GRID:
             ref = raw_moment(p, 2) / raw_moment(p, 1) ** 2
-            assert ratio_G(p.a * p.lam) == pytest.approx(ref, rel=1e-11)
+            assert ratio_G(p.a * p.lam) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
     def test_strictly_increasing_on_log_grid(self):
         xs = np.geomspace(1e-6, 1e4, 400)
@@ -128,7 +128,7 @@ class TestRatioG:
             return float(num / (xm - 1 + mpmath.e**-xm) ** 2)
 
         for x in (1e-8, 1e-4, 0.3, 0.99999999, 1.0, 1.00000001, 2.0, 40.0):
-            assert ratio_G(x) == pytest.approx(reference(x), rel=1e-12)
+            assert ratio_G(x) == pytest.approx(reference(x), rel=1e-12, abs=0.0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -149,8 +149,8 @@ class TestFitMom:
         for p in PARAM_GRID + [P110]:
             result = fit_mom_from_moments(raw_moment(p, 1), raw_moment(p, 2))
             assert result.converged
-            assert result.a_hat == pytest.approx(p.a, rel=1e-6)
-            assert result.lambda_hat == pytest.approx(p.lam, rel=1e-6)
+            assert result.a_hat == pytest.approx(p.a, rel=1e-6, abs=0.0)
+            assert result.lambda_hat == pytest.approx(p.lam, rel=1e-6, abs=0.0)
 
     def test_uniform_fallback(self):
         result = fit_mom_from_moments(1.0, 1.2, x_max=1.9)
@@ -226,8 +226,8 @@ class TestFitMom:
         values = sample(P110, make_stream(2024), size=100_000)
         result = fit_mom(values)
         assert result.converged
-        assert result.a_hat == pytest.approx(110.0, rel=0.10)
-        assert result.lambda_hat == pytest.approx(0.04, rel=0.10)
+        assert result.a_hat == pytest.approx(110.0, rel=0.10, abs=0.0)
+        assert result.lambda_hat == pytest.approx(0.04, rel=0.10, abs=0.0)
 
     def test_order_invariance_exact(self):
         values = sample(P11, make_stream(8), size=5_000)
@@ -241,8 +241,8 @@ class TestFitMom:
         values = sample(P11, make_stream(77), size=2_000)
         base = fit_mom(values)
         scaled = fit_mom(k * values)
-        assert scaled.a_hat == pytest.approx(k * base.a_hat, rel=1e-9)
-        assert scaled.lambda_hat == pytest.approx(base.lambda_hat / k, rel=1e-9)
+        assert scaled.a_hat == pytest.approx(k * base.a_hat, rel=1e-9, abs=0.0)
+        assert scaled.lambda_hat == pytest.approx(base.lambda_hat / k, rel=1e-9, abs=0.0)
 
 
 class TestEcdf:
@@ -272,8 +272,8 @@ class TestFitLsq:
         values = sample(P11, make_stream(4096), size=100_000)
         result = fit_lsq(values)
         assert result.converged
-        assert result.a_hat == pytest.approx(1.0, rel=0.10)
-        assert result.lambda_hat == pytest.approx(1.0, rel=0.10)
+        assert result.a_hat == pytest.approx(1.0, rel=0.10, abs=0.0)
+        assert result.lambda_hat == pytest.approx(1.0, rel=0.10, abs=0.0)
         f_hat = ecdf(values)(values)
         wrong = MinUExpParams(2.0, 0.5)
         objective_wrong = float(np.sum((f_hat - cdf(wrong, values)) ** 2))
@@ -295,8 +295,8 @@ class TestFitLsq:
         values = sample(P11, make_stream(13), size=5_000)
         base = fit_lsq(values)
         scaled = fit_lsq(10.0 * values)
-        assert scaled.a_hat == pytest.approx(10.0 * base.a_hat, rel=1e-4)
-        assert scaled.lambda_hat == pytest.approx(base.lambda_hat / 10.0, rel=1e-4)
+        assert scaled.a_hat == pytest.approx(10.0 * base.a_hat, rel=1e-4, abs=0.0)
+        assert scaled.lambda_hat == pytest.approx(base.lambda_hat / 10.0, rel=1e-4, abs=0.0)
 
     @pytest.mark.parametrize(
         "params, seed", [(P11, 21), (P110, 22), (MinUExpParams(2.0, 4.0), 23)]
@@ -310,7 +310,7 @@ class TestFitLsq:
         # the reported objective belongs to the reported parameters
         model = cdf(MinUExpParams(fit.a_hat, fit.lambda_hat), arr)
         recomputed = float(np.sum((ecdf(arr)(arr) - model) ** 2))
-        assert fit.objective == pytest.approx(recomputed, rel=1e-9)
+        assert fit.objective == pytest.approx(recomputed, rel=1e-9, abs=0.0)
 
     def test_pure_exponential_boundary(self):
         # a is not identifiable here: the least-squares optimum lies at
@@ -324,7 +324,7 @@ class TestFitLsq:
         assert fit.objective <= _nelder_mead_reference(arr).fun * (1.0 + 1e-9)
         model = -np.expm1(-fit.lambda_hat * arr)
         recomputed = float(np.sum((ecdf(arr)(arr) - model) ** 2))
-        assert fit.objective == pytest.approx(recomputed, rel=1e-9)
+        assert fit.objective == pytest.approx(recomputed, rel=1e-9, abs=0.0)
 
     def test_pure_uniform_boundary(self):
         arr = np.random.default_rng(0).uniform(0.0, 2.0, 20_000)

@@ -61,7 +61,7 @@ def truncated_normalization(density, lam: float, a: float, n: int = 1) -> float:
 
 class TestTauCdf:
     def test_frozen_value(self):
-        assert tau_cdf(P11, 1.0) == pytest.approx(FROZEN_TAU_CDF_AT_1, rel=1e-13)
+        assert tau_cdf(P11, 1.0) == pytest.approx(FROZEN_TAU_CDF_AT_1, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("params", CORNER_GRID, ids=lambda p: f"a={p.a:g},lam={p.lam:g}")
     def test_small_corner_matches_mpmath(self, params):
@@ -91,7 +91,7 @@ class TestTauCdf:
 
 class TestTauPdf:
     def test_frozen_value(self):
-        assert tau_pdf(P11, 1.0) == pytest.approx(FROZEN_TAU_PDF_AT_1, rel=1e-13)
+        assert tau_pdf(P11, 1.0) == pytest.approx(FROZEN_TAU_PDF_AT_1, rel=1e-13, abs=0.0)
 
     def test_support(self):
         assert tau_pdf(P11, -1.0) == 0.0
@@ -101,7 +101,7 @@ class TestTauPdf:
         for p in PARAM_GRID:
             for t in T_GRID:
                 ref = mix_integral(p, lambda x, t=t: x * math.exp(-t * x))
-                assert tau_pdf(p, t) == pytest.approx(ref.value, rel=1e-8)
+                assert tau_pdf(p, t) == pytest.approx(ref.value, rel=1e-8, abs=0.0)
 
     def test_tail_truncated_normalization(self):
         for p in (P11, PARAM_GRID[0], PARAM_GRID[-1]):
@@ -152,11 +152,11 @@ def test_limit_at_infinity(evaluator, limit):
 
 class TestTauMoment:
     def test_frozen_value(self):
-        assert tau_moment(P11, 0.5) == pytest.approx(FROZEN_TAU_MOMENT_HALF, rel=1e-10)
+        assert tau_moment(P11, 0.5) == pytest.approx(FROZEN_TAU_MOMENT_HALF, rel=1e-10, abs=0.0)
 
     def test_zeroth_moment_is_one(self):
         for p in PARAM_GRID:
-            assert tau_moment(p, 0.0) == pytest.approx(1.0, rel=1e-13)
+            assert tau_moment(p, 0.0) == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
     def test_infinite_outside_range(self):
         assert tau_moment(P11, 1.0) == math.inf
@@ -169,7 +169,7 @@ class TestTauMoment:
                 ref = math.gamma(power + 1.0) * mix_integral(
                     p, lambda x, power=power: x ** (-power)
                 ).value
-                assert tau_moment(p, power) == pytest.approx(ref, rel=1e-8)
+                assert tau_moment(p, power) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 class TestTauSampler:
@@ -317,7 +317,7 @@ def test_joint_and_posterior_finite_where_c_overflows(evaluator, reference):
 
 class TestBivariate:
     def test_frozen_value(self):
-        assert bivariate_pdf(P11, 1.0, 0.5) == pytest.approx(FROZEN_BIVARIATE_1_HALF, rel=1e-13)
+        assert bivariate_pdf(P11, 1.0, 0.5) == pytest.approx(FROZEN_BIVARIATE_1_HALF, rel=1e-13, abs=0.0)
 
     def test_outside_support(self):
         assert bivariate_pdf(P11, 1.0, 2.0) == 0.0
@@ -336,7 +336,7 @@ class TestBivariate:
             marginal = integrate.quad(
                 lambda x: bivariate_pdf(P11, t, x), 0.0, 1.0, epsabs=0.0, epsrel=1e-12
             )[0]
-            assert marginal == pytest.approx(tau_pdf(P11, t), rel=1e-10)
+            assert marginal == pytest.approx(tau_pdf(P11, t), rel=1e-10, abs=0.0)
 
 
 class TestXiGivenTau:
@@ -414,12 +414,12 @@ class TestXiGivenTau:
 
 class TestRegressions:
     def test_mean_xi_given_tau_oracle(self):
-        assert mean_xi_given_tau(P11, 1.0) == pytest.approx(FROZEN_XI_MEAN_GIVEN_TAU1, rel=1e-12)
+        assert mean_xi_given_tau(P11, 1.0) == pytest.approx(FROZEN_XI_MEAN_GIVEN_TAU1, rel=1e-12, abs=0.0)
         for p in PARAM_GRID:
             for t in (0.2, 1.0, 4.0):
                 num = mix_integral(p, lambda x, t=t: x * x * math.exp(-t * x)).value
                 den = mix_integral(p, lambda x, t=t: x * math.exp(-t * x)).value
-                assert mean_xi_given_tau(p, t) == pytest.approx(num / den, rel=1e-8)
+                assert mean_xi_given_tau(p, t) == pytest.approx(num / den, rel=1e-8, abs=0.0)
 
     def test_mean_xi_given_tau_range_and_monotonicity(self):
         for p in PARAM_GRID:
@@ -436,13 +436,13 @@ class TestRegressions:
 class TestMultivariateII:
     def test_frozen_value(self):
         assert multivariate_pdf_II(P11, [0.5, 0.5]) == pytest.approx(
-            FROZEN_MULTIVARIATE_2, rel=1e-12
+            FROZEN_MULTIVARIATE_2, rel=1e-12, abs=0.0
         )
 
     def test_reduces_to_tau_pdf(self):
         for p in PARAM_GRID:
             for t in (0.3, 1.0, 4.0):
-                assert multivariate_pdf_II(p, [t]) == pytest.approx(tau_pdf(p, t), rel=1e-12)
+                assert multivariate_pdf_II(p, [t]) == pytest.approx(tau_pdf(p, t), rel=1e-12, abs=0.0)
 
     def test_symmetry_through_the_sum(self):
         assert multivariate_pdf_II(P11, [0.3, 0.7]) == multivariate_pdf_II(P11, [0.7, 0.3])
@@ -452,7 +452,7 @@ class TestMultivariateII:
             for tv in ([0.6], [0.2, 0.9], [0.5, 0.1, 0.4]):
                 k, s = len(tv), sum(tv)
                 ref = mix_integral(p, lambda x, k=k, s=s: x**k * math.exp(-s * x))
-                assert multivariate_pdf_II(p, tv) == pytest.approx(ref.value, rel=1e-8)
+                assert multivariate_pdf_II(p, tv) == pytest.approx(ref.value, rel=1e-8, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -463,12 +463,12 @@ class TestMultivariateII:
 
 class TestErlangPdf:
     def test_frozen_value(self):
-        assert erlang_pdf(P11, 2, 1.0) == pytest.approx(FROZEN_MULTIVARIATE_2, rel=1e-12)
+        assert erlang_pdf(P11, 2, 1.0) == pytest.approx(FROZEN_MULTIVARIATE_2, rel=1e-12, abs=0.0)
 
     def test_reduction_to_tau_pdf(self):
         for p in PARAM_GRID:
             for t in (0.3, 1.0, 4.0):
-                assert erlang_pdf(p, 1, t) == pytest.approx(tau_pdf(p, t), rel=1e-12)
+                assert erlang_pdf(p, 1, t) == pytest.approx(tau_pdf(p, t), rel=1e-12, abs=0.0)
 
     def test_support(self):
         assert erlang_pdf(P11, 3, 0.0) == 0.0
@@ -496,7 +496,7 @@ class TestErlangPdf:
                         * math.exp(-x * t)
                         / math.factorial(n - 1),
                     )
-                    assert erlang_pdf(p, n, t) == pytest.approx(ref.value, rel=1e-8)
+                    assert erlang_pdf(p, n, t) == pytest.approx(ref.value, rel=1e-8, abs=0.0)
 
     def test_tail_truncated_normalization(self):
         total = truncated_normalization(lambda t: erlang_pdf(P11, 2, t), 1.0, 1.0, n=2)
@@ -509,19 +509,27 @@ class TestErlangPdf:
 
 class TestErlangMoment:
     def test_frozen_value(self):
-        assert erlang_moment(P11, 2, 0.5) == pytest.approx(FROZEN_ERLANG2_MOMENT_HALF, rel=1e-10)
+        assert erlang_moment(P11, 2, 0.5) == pytest.approx(FROZEN_ERLANG2_MOMENT_HALF, rel=1e-10, abs=0.0)
 
     def test_zeroth_is_one_and_infinite_range(self):
-        assert erlang_moment(P11, 2, 0.0) == pytest.approx(1.0, rel=1e-13)
+        assert erlang_moment(P11, 2, 0.0) == pytest.approx(1.0, rel=1e-13, abs=0.0)
         assert erlang_moment(P11, 2, 1.0) == math.inf
         assert erlang_moment(P11, 2, -2.0) == math.inf
         assert erlang_moment(P11, 3, -2.5) != math.inf
+
+    def test_nan_power_raises(self):
+        # a NaN power raises, as NaN does in every scalar-argument evaluator;
+        # an infinite one lies outside the finite range and gives inf
+        for moment in (tau_moment, lambda p, power: erlang_moment(p, 2, power)):
+            with pytest.raises(ValueError, match="power"):
+                moment(P11, math.nan)
+            assert moment(P11, math.inf) == moment(P11, -math.inf) == math.inf
 
     def test_cross_identity_with_tau_moment(self):
         for p in PARAM_GRID:
             for power in (-0.9, -0.5, 0.0, 0.5, 0.9):
                 assert erlang_moment(p, 1, power) == pytest.approx(
-                    tau_moment(p, power), rel=1e-10
+                    tau_moment(p, power), rel=1e-10, abs=0.0
                 )
 
     def test_mixture_oracle(self):
@@ -533,7 +541,7 @@ class TestErlangMoment:
                         / math.gamma(n)
                         * mix_integral(p, lambda x, power=power: x ** (-power)).value
                     )
-                    assert erlang_moment(p, n, power) == pytest.approx(ref, rel=1e-8)
+                    assert erlang_moment(p, n, power) == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
 class TestVectorSampler:

@@ -504,7 +504,7 @@ def _kummer_tails(s, terms):
 
 
 def _route_a_terms(s):
-    return _mixture._table(_mixture._kummer_tables, float(s))[1]
+    return int(_mixture._integer_tables(_mixture._kummer_tables)[1][s])
 
 
 def test_route_a_table_lengths():

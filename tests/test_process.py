@@ -79,7 +79,7 @@ class TestMuTransforms:
     @given(c=st.floats(0.1, 10.0), b=st.floats(0.2, 4.0), t=st.floats(1e-3, 100.0))
     def test_power_inverse_round_trip(self, c, b, t):
         mu = PowerMu(c, b)
-        assert mu.inverse(mu(t)) == pytest.approx(t, rel=1e-10)
+        assert mu.inverse(mu(t)) == pytest.approx(t, rel=1e-10, abs=0.0)
 
     def test_power_validation(self):
         with pytest.raises(ValueError):
@@ -339,16 +339,16 @@ class TestThinning:
         res = thinning_check(P11, LinearMu(1.0), 0.5, 1.0, 2, 300_000, make_stream(89))
         assert res.conclusive
         assert res.n_conditioning >= 10_000
-        assert res.ratio == pytest.approx(0.5, rel=1e-14)
+        assert res.ratio == pytest.approx(0.5, rel=1e-14, abs=0.0)
         assert res.p_value > 0.001
 
     def test_linear_ratio_is_time_quotient(self):
         res = thinning_check(P11, LinearMu(3.0), 0.25, 1.0, 1, 20_000, make_stream(91))
-        assert res.ratio == pytest.approx(0.25, rel=1e-14)
+        assert res.ratio == pytest.approx(0.25, rel=1e-14, abs=0.0)
 
     def test_power_ratio_is_squared_quotient(self):
         res = thinning_check(P11, PowerMu(1.0, 2.0), 0.5, 1.0, 1, 20_000, make_stream(93))
-        assert res.ratio == pytest.approx(0.25, rel=1e-14)
+        assert res.ratio == pytest.approx(0.25, rel=1e-14, abs=0.0)
 
     def test_inconclusive_with_too_few_paths(self):
         res = thinning_check(P11, LinearMu(1.0), 0.5, 1.0, 2, 2_000, make_stream(95))

@@ -60,7 +60,7 @@ def test_params_validation():
 
 class TestCdf:
     def test_value_at_half(self):
-        assert cdf(P11, 0.5) == pytest.approx(FROZEN_CDF_AT_HALF, rel=1e-14)
+        assert cdf(P11, 0.5) == pytest.approx(FROZEN_CDF_AT_HALF, rel=1e-14, abs=0.0)
 
     def test_monte_carlo_cross_check(self):
         rng = make_stream(101)
@@ -97,7 +97,7 @@ class TestCdf:
         with mpmath.workdps(60):
             am, lm = mpmath.mpf(a), mpmath.mpf(lam)
             ref = [float(1 - mpmath.exp(-lm * x) * (1 - x / am)) for x in xs]
-        assert values.tolist() == pytest.approx(ref, rel=1e-15)
+        assert values.tolist() == pytest.approx(ref, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("p", PARAM_GRID + CORNER_GRID, ids=repr)
     def test_small_x_against_mpmath(self, p):
@@ -112,7 +112,7 @@ class TestCdf:
 
 class TestPdf:
     def test_value_at_half(self):
-        assert pdf(P11, 0.5) == pytest.approx(FROZEN_PDF_AT_HALF, rel=1e-14)
+        assert pdf(P11, 0.5) == pytest.approx(FROZEN_PDF_AT_HALF, rel=1e-14, abs=0.0)
 
     def test_outside_support(self):
         assert pdf(P11, 1.5) == 0.0
@@ -121,7 +121,7 @@ class TestPdf:
 
     def test_limit_at_zero(self):
         for p in PARAM_GRID:
-            assert pdf(p, 1e-12) == pytest.approx(p.lam + 1.0 / p.a, rel=1e-9)
+            assert pdf(p, 1e-12) == pytest.approx(p.lam + 1.0 / p.a, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("a, lam", [(1e300, 9e307), (1e10, 1e300), (2.0, 1.7976931348623157e308)])
     def test_finite_where_lambda_a_overflows(self, a, lam):
@@ -156,10 +156,10 @@ class TestPdf:
 
 class TestHazard:
     def test_figure_parameters_value(self):
-        assert hazard(P110, 100.0) == pytest.approx(0.04 + 0.1, rel=1e-14)
+        assert hazard(P110, 100.0) == pytest.approx(0.04 + 0.1, rel=1e-14, abs=0.0)
 
     def test_simple_value(self):
-        assert hazard(P11, 0.5) == pytest.approx(3.0, rel=1e-14)
+        assert hazard(P11, 0.5) == pytest.approx(3.0, rel=1e-14, abs=0.0)
 
     def test_infinite_at_right_end(self):
         for p in PARAM_GRID:
@@ -213,21 +213,21 @@ class TestScale:
 
 class TestMoments:
     def test_mean_and_second_moment_frozen(self):
-        assert raw_moment(P11, 1) == pytest.approx(FROZEN_MEAN, rel=1e-12)
-        assert raw_moment(P11, 2) == pytest.approx(FROZEN_SECOND_MOMENT, rel=1e-12)
-        assert raw_moment(P110, 1) == pytest.approx(FROZEN_MEAN_110, rel=1e-12)
+        assert raw_moment(P11, 1) == pytest.approx(FROZEN_MEAN, rel=1e-12, abs=0.0)
+        assert raw_moment(P11, 2) == pytest.approx(FROZEN_SECOND_MOMENT, rel=1e-12, abs=0.0)
+        assert raw_moment(P110, 1) == pytest.approx(FROZEN_MEAN_110, rel=1e-12, abs=0.0)
 
     def test_mean_elementary_form_identity(self):
         for p in PARAM_GRID:
             z = p.a * p.lam
             elementary = (z - 1.0 + math.exp(-z)) / (p.a * p.lam**2)
-            assert raw_moment(p, 1) == pytest.approx(elementary, rel=1e-12)
+            assert raw_moment(p, 1) == pytest.approx(elementary, rel=1e-12, abs=0.0)
 
     def test_quadrature_match_higher_orders(self):
         for p in PARAM_GRID:
             for k in (1, 2, 3, 5):
                 ref = mix_integral(p, lambda x, k=k: x**k)
-                assert raw_moment(p, k) == pytest.approx(ref.value, rel=1e-10)
+                assert raw_moment(p, k) == pytest.approx(ref.value, rel=1e-10, abs=0.0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -238,12 +238,12 @@ class TestMoments:
 
 class TestVariance:
     def test_frozen_value(self):
-        assert variance(P11) == pytest.approx(FROZEN_VARIANCE, rel=1e-12)
+        assert variance(P11) == pytest.approx(FROZEN_VARIANCE, rel=1e-12, abs=0.0)
 
     def test_moment_identity_everywhere(self):
         for p in PARAM_GRID + [P110]:
             ref = raw_moment(p, 2) - raw_moment(p, 1) ** 2
-            assert variance(p) == pytest.approx(ref, rel=1e-12)
+            assert variance(p) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_against_mpmath_over_a_wide_domain(self):
         # the expanded form in z = a lambda was up to 2.6e21 off on these draws
@@ -263,12 +263,12 @@ class TestVariance:
         p = MinUExpParams(4e10, 1.0)
         assert abs(variance(p) - 1.0) < 1e-10
         p50 = MinUExpParams(50.0, 1.0)
-        assert abs(variance(p50) - 1.0) == pytest.approx(2.0 / 50.0, rel=0.03)
+        assert abs(variance(p50) - 1.0) == pytest.approx(2.0 / 50.0, rel=0.03, abs=0.0)
 
 
 class TestLst:
     def test_frozen_value(self):
-        assert lst(P11, 1.0) == pytest.approx(FROZEN_LST_AT_1, rel=1e-13)
+        assert lst(P11, 1.0) == pytest.approx(FROZEN_LST_AT_1, rel=1e-13, abs=0.0)
 
     def test_at_zero_and_decay(self):
         for p in PARAM_GRID:
@@ -289,12 +289,12 @@ class TestLst:
         for p in PARAM_GRID:
             for t in (0.1, 1.0, 5.0):
                 ref = mix_integral(p, lambda x, t=t: math.exp(-t * x))
-                assert lst(p, t) == pytest.approx(ref.value, rel=1e-10)
+                assert lst(p, t) == pytest.approx(ref.value, rel=1e-10, abs=0.0)
 
     def test_complement_of_waiting_time_cdf(self):
         for p in PARAM_GRID:
             for t in (0.05, 0.7, 3.0, 20.0):
-                assert lst(p, t) == pytest.approx(1.0 - tau_cdf(p, t), rel=1e-10)
+                assert lst(p, t) == pytest.approx(1.0 - tau_cdf(p, t), rel=1e-10, abs=0.0)
 
 
 class TestSampler:

@@ -5,7 +5,9 @@ log-uniformly from [1e-6, 1e3], orders up to 2000 and times from 1e-6 to
 1e6, where direct closed forms used to cancel to wrong signs.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,3 +172,17 @@ def test_count_mean_is_the_first_factorial_moment(params, mu_t):
     mean, first = count_mean_var(params, mu_t)[0], factorial_moment(params, mu_t, 1)
     if _normal(mean, first):
         assert mean == pytest.approx(first, rel=1e-14, abs=0.0)
+
+
+def test_every_relative_check_sets_its_absolute_tolerance():
+    # pytest.approx(x, rel=r) with no abs= also passes any pair within its
+    # default abs=1e-12, whatever their ratio: below that it checks nothing
+    missing = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) == "approx":
+                keywords = {k.arg for k in node.keywords}
+                if "rel" in keywords and "abs" not in keywords:
+                    missing.append(f"{path.name}:{node.lineno}")
+    assert missing == []
