@@ -25,7 +25,6 @@ from .structure import (
     lst,
     raw_moment,
     scale,
-    variance,
 )
 
 __all__ = [
@@ -145,11 +144,17 @@ def count_mean_var(params: MinUExpParams, mu_t: float) -> tuple[float, float]:
     """Mean and variance of N(t) at accumulated intensity mu_t.
 
     mean = mu E(xi) and var = mean + mu^2 Var(xi), both moments of xi from
-    the mixing kernel.  The law is over-dispersed: var > mean.
+    the mixing kernel.  mu^2 Var(xi) is taken as mean (mean expm1(log J2 -
+    2 log J1)), with J1 = E(xi) and J2 = E(xi^2), so it is neither lost where
+    Var(xi) underflows nor an OverflowError where mu^2 overflows: the
+    variance is inf only where it overflows itself.  The law is
+    over-dispersed: var > mean.
     """
     _check_mu_t(mu_t)
     mean = mu_t * raw_moment(params, 1)
-    return mean, mean + mu_t**2 * variance(params)
+    log_j1 = log_mixing_kernel(params, 1, params.lam)
+    log_j2 = log_mixing_kernel(params, 2, params.lam)
+    return mean, mean + mean * (mean * math.expm1(log_j2 - 2.0 * log_j1))
 
 
 def factorial_moment(params: MinUExpParams, mu_t: float, k: int) -> float:

@@ -6,15 +6,29 @@ is trusted; the quadrature route never reuses the closed form it checks,
 only the mixing density and the kernel under the integral sign.  The
 density is evaluated in plain Python floats inside the integrand closure,
 so each quadrature node costs one Python call besides the kernel's.
+
+The quadrature is QUADPACK's qagse, the routine behind scipy.integrate.quad
+at finite limits, called with quad's own arguments, so every value, error
+estimate and evaluation count is quad's.  Only its extension,
+scipy.integrate._quadpack, is loaded, from its file, on the first integral:
+the scipy.integrate package's __init__ loads some 350 scipy modules
+(optimize, sparse.linalg, special and more), which cost a fresh `validate
+--quick` several times its report.  An extension already imported with the
+package is reused; without the extension file, the package is imported.
+scipy.special is imported only by chi_square_pmf.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .structure import MinUExpParams
 
@@ -58,6 +72,59 @@ def _integrand(params: MinUExpParams, kernel):
     return integrand
 
 
+@functools.cache
+def _quadpack():
+    """scipy.integrate._quadpack, loaded once and without the package's __init__."""
+    name = "scipy.integrate._quadpack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    folder = os.path.join(os.path.dirname(scipy.__file__), "integrate")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "_quadpack" + suffix)
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    return importlib.import_module(name)
+
+
+def _qagse(f, b: float, epsrel: float) -> tuple[float, float, int, bool]:
+    """One qagse pass over (0, b): (value, error estimate, evaluations, converged).
+
+    The call scipy.integrate.quad makes for finite limits and no weight, at
+    epsabs = 0 and 200 subintervals; invalid input (ier 6, here an epsrel
+    below 50 machine epsilons) raises ValueError, as quad does.
+    """
+    value, abserr, info, ier = _quadpack()._qagse(f, 0.0, b, (), 1, 0.0, epsrel, 200)
+    if ier == 6:
+        raise ValueError(
+            "If 'epsabs'<=0, 'epsrel' must be greater than both 5e-29 and 50*(machine epsilon)."
+        )
+    return value, abserr, int(info["neval"]), ier == 0
+
+
+def _quadrature(f, b: float, epsrel: float = 1e-12) -> OracleResult:
+    """integral_0^b f(x) dx, driven in relative terms.
+
+    If no tolerance up to 100 * epsrel converges, the last result is
+    accepted only when its error estimate is at most 1e-10 of its value,
+    relative at every scale; otherwise OracleError is raised.
+    """
+    for eps in (epsrel, 10 * epsrel, 100 * epsrel):
+        value, abserr, evals, converged = _qagse(f, b, eps)
+        if converged:
+            return OracleResult(value, abserr, "quadrature", evals)
+    if abserr <= 1e-10 * abs(value):
+        return OracleResult(value, abserr, "quadrature", evals)
+    raise OracleError(
+        f"quadrature did not converge (value {value!r}, error estimate {abserr!r})"
+    )
+
+
 def mix_integral(params: MinUExpParams, kernel, epsrel: float = 1e-12) -> OracleResult:
     """Adaptive quadrature of integral_0^a kernel(x) * density(x) dx.
 
@@ -67,26 +134,9 @@ def mix_integral(params: MinUExpParams, kernel, epsrel: float = 1e-12) -> Oracle
 
     Convergence is driven in relative terms so that very small mixture
     values (deep p.m.f. tails) are still resolved to full relative
-    precision.  If no tolerance up to 100 * epsrel converges, the last
-    result is accepted only when its error estimate is at most 1e-10 of
-    its value, relative at every scale; otherwise OracleError is raised.
+    precision; the retry and acceptance rule is _quadrature's.
     """
-    integrand = _integrand(params, kernel)
-    last = None
-    for eps in (epsrel, 10 * epsrel, 100 * epsrel):
-        out = integrate.quad(
-            integrand, 0.0, params.a, epsabs=0.0, epsrel=eps, limit=200, full_output=1
-        )
-        value, abserr, info = out[0], out[1], out[2]
-        last = (value, abserr, info, len(out) > 3)
-        if len(out) == 3:
-            return OracleResult(value, abserr, "quadrature", int(info["neval"]))
-    value, abserr, info, _ = last
-    if abserr <= 1e-10 * abs(value):
-        return OracleResult(value, abserr, "quadrature", int(info["neval"]))
-    raise OracleError(
-        f"quadrature did not converge (value {value!r}, error estimate {abserr!r})"
-    )
+    return _quadrature(_integrand(params, kernel), params.a, epsrel)
 
 
 def mc_mean(sampler, statistic, n: int, rng: np.random.Generator) -> OracleResult:
@@ -157,4 +207,6 @@ def chi_square_pmf(observed, expected, total: int) -> tuple[float, int, float]:
     obs_a, exp_a = np.asarray(obs), np.asarray(exp_n)
     statistic = float(np.sum((obs_a - exp_a) ** 2 / exp_a))
     dof = len(exp_n) - 1
+    from scipy import special
+
     return statistic, dof, float(special.chdtrc(dof, statistic))

@@ -18,6 +18,12 @@ rows integrate ``bivariate_pdf``, ``xi_given_tau_pdf`` and
 ``xi_given_count_pdf`` themselves, since those rows check the evaluators.
 Count p.m.f.s are evaluated in blocks of n, one vector call per block,
 not one scalar call per n.
+
+Every quadrature, those three included, is the oracle's: QUADPACK's qagse
+from its extension alone, loaded on the first integral (see ``oracle``).
+Importing this module loads no scipy; the quick report loads QUADPACK and
+nothing else of scipy, and the full one adds scipy.special, where the
+incomplete gamma of its larger arguments needs gammainc.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import counting, interarrival, structure
 from .gamma_kernel import _log_lower_incomplete_gamma
-from .oracle import mix_integral
+from .oracle import _quadrature, mix_integral
 from .structure import MinUExpParams
 
 __all__ = ["CheckRow", "run_validation"]
@@ -206,11 +211,6 @@ def _integrals(params: MinUExpParams):
     return functools.cache(lambda kernel, *args: mix_integral(params, kernel(*args)).value)
 
 
-def _quad(f, a: float) -> float:
-    """Quadrature of a vectorized evaluator over (0, a), driven to 1e-12 relative."""
-    return integrate.quad(f, 0.0, a, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-
-
 def _count_pmf_and_mass(params: MinUExpParams, n_min: int) -> tuple[np.ndarray, float]:
     """count_pmf at n = 0, 1, ... and the adaptively truncated total mass.
 
@@ -254,9 +254,9 @@ def _pair_entries(params: MinUExpParams, t_grid, n_erlang: int, n_count: int):
         moment = math.gamma(p + 1.0) * ref(_power_exp, -p, 0)
         yield f"{tag} waiting-time moment p={p}", interarrival.tau_moment(params, p), moment, 1e-8
     t = t_grid[0]
-    marginal = _quad(lambda x: interarrival.bivariate_pdf(params, t, x), params.a)
+    marginal = _quadrature(lambda x: interarrival.bivariate_pdf(params, t, x), params.a).value
     yield f"{tag} joint density marginal t={t}", marginal, interarrival.tau_pdf(params, t), 1e-8
-    posterior = _quad(lambda x: interarrival.xi_given_tau_pdf(params, t, x), params.a)
+    posterior = _quadrature(lambda x: interarrival.xi_given_tau_pdf(params, t, x), params.a).value
     yield f"{tag} rate-posterior normalization t={t}", posterior, 1.0, 1e-8
     mean = ref(_square_exp, t) / ref(_power_exp, 1, t)
     yield f"{tag} rate-posterior mean t={t}", interarrival.mean_xi_given_tau(params, t), mean, 1e-8
@@ -286,7 +286,7 @@ def _pair_entries(params: MinUExpParams, t_grid, n_erlang: int, n_count: int):
     joint = 0.5**1 * 0.7**2 / (math.factorial(1) * math.factorial(2)) * ref(_power_exp, 3, 1.2)
     yield f"{tag} cumulative joint pmf", counting.ordered_pmf(params, [0.5, 1.2], [1, 3]), joint, 1e-8
     yield f"{tag} increment joint pmf", counting.increments_pmf(params, [0.5, 1.2], [1, 2]), joint, 1e-8
-    norm = _quad(lambda x: counting.xi_given_count_pdf(params, 0.7, 2, x), params.a)
+    norm = _quadrature(lambda x: counting.xi_given_count_pdf(params, 0.7, 2, x), params.a).value
     yield f"{tag} count-posterior normalization", norm, 1.0, 1e-8
     mean = ref(_power_exp, 3, 0.7) / ref(_power_exp, 2, 0.7)
     yield f"{tag} count-posterior mean", counting.mean_xi_given_count(params, 0.7, 2), mean, 1e-8

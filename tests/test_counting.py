@@ -143,6 +143,23 @@ class TestPgf:
                 assert abs(est - float(count_pmf(p, k))) < 1e-6
 
 
+def _mp_count_mean_var(a, lam, mu_t):
+    """Count mean and variance from the closed-form moments of xi,
+
+        E xi = (z - 1 + e^-z)/(z lambda),  E xi^2 = (2 + 2 e^-z - 4(1 - e^-z)/z)/lambda^2
+
+    with z = a lambda, to 50 digits: the working precision adds the digits
+    their cancellation costs at small z (mp.quad is no help there, since its
+    stopping rule is absolute)."""
+    with mpmath.workdps(50 + 3 * max(0, math.ceil(-math.log10(a * lam)))):
+        a, lam, mu_t = mpmath.mpf(a), mpmath.mpf(lam), mpmath.mpf(mu_t)
+        z = a * lam
+        e = mpmath.exp(-z)
+        mean = (z - 1 + e) / (z * lam)
+        second = (2 + 2 * e - 4 * (1 - e) / z) / lam**2
+        return float(mu_t * mean), float(mu_t * mean + mu_t**2 * (second - mean**2))
+
+
 class TestMeanVar:
     def test_frozen_pair(self):
         mean, var = count_mean_var(P11, 1.0)
@@ -179,6 +196,24 @@ class TestMeanVar:
         assert mean == pytest.approx(5e-301, rel=1e-12, abs=0.0)
         assert var == mean
         assert count_mean_var(MinUExpParams(1e200, 1e-200), 1.0)[1] == math.inf
+
+    @pytest.mark.parametrize(
+        "a, lam, mu_t",
+        [(1e-200, 1.0, 1e200), (1e-170, 1.0, 1e170), (1e-300, 1.0, 1e300), (1e-100, 3.0, 1e101), (1.0, 1.0, 1e150)],
+    )
+    def test_small_a_at_large_intensity(self, a, lam, mu_t):
+        # mu_t**2 raised OverflowError at the first three points, where Var(xi)
+        # has underflowed to 0 too; log J1 is down to -691 there, whose half
+        # ulp is 7.7e-14 of relative error in exp(log J1)
+        mean, var = count_mean_var(MinUExpParams(a, lam), mu_t)
+        ref_mean, ref_var = _mp_count_mean_var(a, lam, mu_t)
+        assert mean == pytest.approx(ref_mean, rel=1e-13, abs=0.0)
+        assert var == pytest.approx(ref_var, rel=1e-13, abs=0.0)
+
+    def test_variance_is_inf_only_past_overflow(self):
+        assert count_mean_var(P11, 1e160)[1] == math.inf
+        reference = _mp_count_mean_var(1.0, 1.0, 1e154)[1]
+        assert count_mean_var(P11, 1e154)[1] == pytest.approx(reference, rel=1e-13, abs=0.0)
 
     def test_mean_linear_in_intensity(self):
         for p in PARAM_GRID:

@@ -1,20 +1,28 @@
 """The ground-truth layer itself: quadrature, Monte Carlo, comparators."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minuexp
 from minuexp import cdf, make_stream, pdf, sample, tau_sample
 from minuexp.oracle import (
     OracleError,
     OracleResult,
     _integrand,
+    _qagse,
     chi_square_pmf,
     ks_statistic,
     mc_mean,
     mix_integral,
 )
+from minuexp.validation import _count, _epoch
 
 from conftest import FROZEN_LST_AT_1, FROZEN_MEAN, P11, P110, PARAM_GRID
 
@@ -59,6 +67,90 @@ class TestMixIntegral:
         # converged, however small the value
         with pytest.raises(OracleError):
             mix_integral(P11, lambda x: scale * math.sin(1e4 * x))
+
+    def test_invalid_tolerance_raises_value_error(self):
+        # QUADPACK's ier 6 at epsabs = 0: quad's own error, not OracleError
+        with pytest.raises(ValueError, match="epsrel"):
+            mix_integral(P11, lambda x: x, epsrel=1e-16)
+
+
+def _quad_full(f, b, epsrel=1e-12):
+    """scipy.integrate.quad as (value, error estimate, evaluations, converged)."""
+    from scipy import integrate
+
+    out = integrate.quad(f, 0.0, b, epsabs=0.0, epsrel=epsrel, limit=200, full_output=1)
+    return out[0], out[1], int(out[2]["neval"]), len(out) == 3
+
+
+class TestQuadpackRoute:
+    @pytest.mark.parametrize("p", PARAM_GRID + [P110], ids=lambda p: f"{p.a:g},{p.lam:g}")
+    def test_count_and_epoch_kernels_equal_quad(self, p):
+        kernels = [_count(n) for n in (0, 1, 5, 30)]
+        kernels += [_epoch(n, t) for n in (1, 2, 5) for t in (0.1, 2.0)]
+        for kernel in kernels:
+            f = _integrand(p, kernel)
+            assert _qagse(f, p.a, 1e-12) == _quad_full(f, p.a)
+
+    @pytest.mark.parametrize("epsrel", [1e-12, 1e-10])
+    def test_non_converging_kernel_equals_quad(self, epsrel):
+        f = _integrand(P11, lambda x: math.sin(1e4 * x))
+        result = _qagse(f, P11.a, epsrel)
+        assert result == _quad_full(f, P11.a, epsrel)
+        assert result[3] is False
+
+
+_INTEROP = """
+import json, sys
+from minuexp import MinUExpParams
+from minuexp.oracle import _quadpack, mix_integral
+
+p = MinUExpParams(1.0, 1.0)
+first = mix_integral(p, lambda x: x * x).value
+package_loaded = "scipy.integrate" in sys.modules
+from scipy import integrate
+
+out = {
+    "package_loaded_by_oracle": package_loaded,
+    "same_extension": sys.modules["scipy.integrate._quadpack"] is _quadpack(),
+    "oracle": first,
+    "quad": integrate.quad(lambda x: x * x, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0],
+    "oracle_in_quad": integrate.quad(lambda y: mix_integral(p, lambda x: x**y).value, 0.0, 2.0)[0],
+    "quad_in_oracle": mix_integral(p, lambda x: integrate.quad(lambda y: y, 0.0, x)[0]).value,
+}
+print(json.dumps(out))
+"""
+
+
+def _run_fresh(code):
+    """The last stdout line of code run in a fresh interpreter, as JSON."""
+    env = dict(os.environ)
+    package_root = str(Path(minuexp.__file__).resolve().parents[1])
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = package_root + os.pathsep + inherited if inherited else package_root
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["extension-file", "package-import"])
+def test_quadpack_interoperates_with_scipy_integrate(fallback):
+    # a fresh interpreter, since this process has imported scipy.integrate;
+    # with no extension suffix to try, the oracle imports the package itself
+    from scipy import integrate
+
+    prefix = "import importlib.machinery\nimportlib.machinery.EXTENSION_SUFFIXES = []\n" if fallback else ""
+    out = _run_fresh(prefix + _INTEROP)
+    assert out.pop("package_loaded_by_oracle") is fallback
+    assert out.pop("same_extension") is True
+    expected = {
+        "oracle": mix_integral(P11, lambda x: x * x).value,
+        "quad": integrate.quad(lambda x: x * x, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)[0],
+        "oracle_in_quad": integrate.quad(lambda y: mix_integral(P11, lambda x: x**y).value, 0.0, 2.0)[0],
+        "quad_in_oracle": mix_integral(P11, lambda x: integrate.quad(lambda y: y, 0.0, x)[0]).value,
+    }
+    assert out == expected
 
 
 class TestMcMean:
