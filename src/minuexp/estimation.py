@@ -191,8 +191,8 @@ def fit_mom_from_moments(m1: float, m2: float, x_max: float | None = None) -> Fi
 def fit_mom(values) -> FitResult:
     """Method-of-moments fit of a positive sample (size >= 2)."""
     arr = _validate_sample(values)
-    m1, m2 = empirical_moments(arr)
-    return fit_mom_from_moments(m1, m2, x_max=float(np.max(arr)))
+    m1, m2 = float(np.mean(arr)), float(np.mean(arr**2))
+    return fit_mom_from_moments(m1, m2, x_max=float(arr[-1]))
 
 
 class EmpiricalCdf:
@@ -305,7 +305,7 @@ def fit_lsq(values) -> FitResult:
     m1 = float(np.mean(arr))
     u = arr / m1  # in units of the mean the fit is exactly scale-equivariant
     phi_max = 1.0 / float(u[-1])
-    one_minus_ecdf = 1.0 - EmpiricalCdf(arr)(arr)
+    one_minus_ecdf = 1.0 - np.searchsorted(arr, arr, side="right") / arr.size  # at the observations
     trials = {}  # rate v -> (objective, phi = theta * mean)
     e, y, z = np.empty_like(u), np.empty_like(u), np.empty_like(u)
 

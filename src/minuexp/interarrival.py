@@ -6,6 +6,10 @@ version for a vector of inter-arrivals sharing one xi, and the
 Erlang-Min-U-Exp law of the n-th arrival epoch.  Closed forms here carry
 corrected algebra where the naive transcription fails the quadrature
 oracle; see the validation report for the rejected variants.
+
+Each law of t is evaluated once, at the arguments structure._waiting_args
+gives, which owns the overflow edges of c = lambda + t and z = ac; the
+kernel-based erlang_pdf and mean_xi_given_tau use its c-overflow mask.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import structure
 from ._mixture import _stable_B, _stable_C, log_mixing_kernel, mixing_kernel
-from .structure import MinUExpParams, _finish, _integer, _scaled_rate, _where_c_overflows
+from .structure import MinUExpParams, _finish, _integer, _waiting_args
 
 __all__ = [
     "tau_cdf",
@@ -45,22 +49,14 @@ def tau_cdf(params: MinUExpParams, t):
     overflows F is t/c; where c does, F is the one at (2a, lambda/2, t/2).
     Equals 1 minus the structure law's transform.
     """
-    a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
     finite = (arr > 0.0) & (arr < np.inf)
-    ti = np.where(finite, arr, 1.0)
-    out = np.where(finite, _tau_cdf_finite(a, lam, ti), np.where(arr == np.inf, 1.0, 0.0))
-    return _finish(arr, out)
-
-
-def _tau_cdf_finite(a: float, lam: float, t: np.ndarray) -> np.ndarray:
-    """tau_cdf at finite t > 0."""
-    c, ac, huge = _scaled_rate(a, lam, t)
+    _, _, t, c, ac, huge, _ = _waiting_args(params.a, params.lam, np.where(finite, arr, 1.0))
     body = t / c * (_stable_B(ac) / ac)
     if huge is not None:
         body = np.where(huge, t / c, body)
-        body = _where_c_overflows(c, body, lambda: _tau_cdf_finite(2.0 * a, 0.5 * lam, 0.5 * t))
-    return body
+    out = np.where(finite, body, np.where(arr == np.inf, 1.0, 0.0))
+    return _finish(arr, out)
 
 
 def tau_pdf(params: MinUExpParams, t):
@@ -78,23 +74,16 @@ def tau_pdf(params: MinUExpParams, t):
     """
     arr = np.asarray(t, dtype=float)
     finite = (arr > 0.0) & (arr < np.inf)
-    ti = np.where(finite, arr, 1.0)
-    out = np.where(finite, _tau_pdf_finite(params.a, params.lam, ti), 0.0)
-    return _finish(arr, out)
-
-
-def _tau_pdf_finite(a: float, lam: float, t: np.ndarray) -> np.ndarray:
-    """tau_pdf at finite t > 0."""
-    c, z, huge = _scaled_rate(a, lam, t)
+    a, lam, t, c, z, huge, wide = _waiting_args(params.a, params.lam, np.where(finite, arr, 1.0))
     body = _tau_pdf_times_c2(a, lam, t, c, z, huge) / c / c
-    if huge is not None:
-        body = _where_c_overflows(c, body, lambda: 0.5 * _tau_pdf_finite(2.0 * a, 0.5 * lam, 0.5 * t))
-    return body
+    if wide is not None:
+        body = np.where(wide, 0.5 * body, body)
+    return _finish(arr, np.where(finite, body, 0.0))
 
 
-def _tau_pdf_times_c2(a: float, lam: float, t, c, z, huge):
-    """c^2 tau_pdf(t) = lambda B(z)/z + t C(z)/z at finite t > 0, given
-    c = lambda + t, z = ac and the overflow mask as _scaled_rate returns them.
+def _tau_pdf_times_c2(a, lam, t, c, z, huge):
+    """c^2 tau_pdf(t) = lambda B(z)/z + t C(z)/z at finite t > 0, given the
+    arguments and the z-overflow mask as _waiting_args returns them.
 
     At most lambda + t/c, and about lambda + 1/a once t is large, so it is a
     normal double even where tau_pdf itself underflows (t past about 1e154).
@@ -141,7 +130,16 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     inside = (t_arr > 0.0) & (x_arr > 0.0) & (x_arr < a)
     ts = np.where(inside, t_arr, 1.0)
     xs = np.where(inside, x_arr, 0.5 * a)
-    tilt = np.exp(-_tilt_times_x(a, lam, t_arr, ts, xs))
+    # where (lambda + t) a is finite at the largest t no c x overflows, as x < a
+    top = float(t_arr) if t_arr.ndim == 0 else float(t_arr.max(initial=-math.inf))
+    if (lam + top) * a < math.inf:
+        cx = (lam + ts) * xs
+    else:
+        # an overflowing c x stands for an exponent whose exponential is 0
+        _, _, _, c, _, _, wide = _waiting_args(a, lam, ts)
+        with np.errstate(over="ignore"):
+            cx = c * (xs if wide is None else np.where(wide, 2.0 * xs, xs))
+    tilt = np.exp(-cx)
     if lam * a < math.inf:
         body = xs / a * tilt * (1.0 + lam * a - xs * lam)
     else:
@@ -150,31 +148,12 @@ def bivariate_pdf(params: MinUExpParams, t, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _tilt_times_x(
-    a: float, lam: float, t_arr: np.ndarray, ts: np.ndarray, xs: np.ndarray
-) -> np.ndarray:
-    """(lambda + t) x at the masked points ts, xs of bivariate_pdf.
-
-    Where (lambda + t) a is finite at the largest t, the common case, one
-    Python check settles that: no product overflows, as x < a.  Otherwise
-    overflowing elements of lambda + t are mended by _where_c_overflows,
-    with c/2 finite.  There a product c x or (c/2)(2x) that overflows
-    stands for an exponent past the largest double, whose exponential is 0
-    either way, so the overflow is silent.
-    """
-    top = float(t_arr) if t_arr.ndim == 0 else float(t_arr.max(initial=-math.inf))
-    if (lam + top) * a < math.inf:
-        return (lam + ts) * xs
-    with np.errstate(over="ignore"):
-        c = lam + ts
-        return _where_c_overflows(c, c * xs, lambda: (0.5 * lam + 0.5 * ts) * (2.0 * xs))
-
-
 @functools.lru_cache(maxsize=64)
-def _marginal_times_c2(a: float, lam: float, t: float) -> float:
-    """c^2 tau_pdf(t), memoized: quadrature over x repeats (a, lambda, t)."""
-    t = np.asarray(t)
-    return float(_tau_pdf_times_c2(a, lam, t, *_scaled_rate(a, lam, t)))
+def _marginal_times_c2(a: float, lam: float, t: float) -> tuple[float, float, float]:
+    """(c^2 tau_pdf(t), c, w) at the arguments _waiting_args gives, with w = 2
+    where c overflowed, else 1; memoized: quadrature over x repeats t."""
+    a, lam, t, c, z, huge, wide = _waiting_args(a, lam, np.asarray(t))
+    return float(_tau_pdf_times_c2(a, lam, t, c, z, huge)), float(c), 1.0 if wide is None else 2.0
 
 
 def xi_given_tau_pdf(params: MinUExpParams, t: float, x):
@@ -193,28 +172,42 @@ def xi_given_tau_pdf(params: MinUExpParams, t: float, x):
     """
     if not 0.0 < t < math.inf:
         raise ValueError("conditioning time t must be a finite positive real")
-    a, lam, t = params.a, params.lam, float(t)
-    c = lam + t
-    if c < math.inf:
-        return bivariate_pdf(params, t, x) / _marginal_times_c2(a, lam, t) * c * c
-    half_c = 0.5 * lam + 0.5 * t
-    marginal = _marginal_times_c2(2.0 * a, 0.5 * lam, 0.5 * t)
-    return 2.0 * bivariate_pdf(params, t, x) / marginal * half_c * half_c
+    marginal, c, w = _marginal_times_c2(params.a, params.lam, float(t))
+    return w * bivariate_pdf(params, t, x) / marginal * c * c
 
 
 def mean_xi_given_tau(params: MinUExpParams, t):
     """Posterior mean E(xi | tau = t) for t > 0.
 
     Computed as the ratio of tilted moments E(xi^2 e^(-t xi)) / E(xi e^(-t xi)),
-    which the quadrature oracle confirms; always lies in (0, a).
+    which the quadrature oracle confirms; always lies in (0, a).  Where
+    lambda + t overflows at finite t, it is half the mean at
+    (2a, lambda/2, t/2).
     """
     arr = np.asarray(t, dtype=float)
     # written so that NaN fails too
     if not (arr > 0.0).all():
         raise ValueError("conditioning time t must be positive")
-    c = params.lam + arr
-    out = np.exp(log_mixing_kernel(params, 2, c) - log_mixing_kernel(params, 1, c))
+    out = _through_kernel(params, arr, _tilted_mean)
     return float(out) if out.ndim == 0 else out
+
+
+def _tilted_mean(params: MinUExpParams, t: np.ndarray):
+    """mean_xi_given_tau at t in (0, inf) where lambda + t is finite."""
+    c = params.lam + t
+    return np.exp(log_mixing_kernel(params, 2, c) - log_mixing_kernel(params, 1, c))
+
+
+def _through_kernel(params: MinUExpParams, t: np.ndarray, law):
+    """law(params, t) at t > 0 for erlang_pdf or mean_xi_given_tau, except
+    where lambda + t overflows: there 0.5 law(scale(params, 2), t/2), whose
+    tilt c/2 is finite, as xi -> 2 xi doubles both the density at t/2 and
+    the posterior mean."""
+    if params.lam + float(t.max(initial=0.0)) < math.inf:
+        return law(params, t)
+    wide = _waiting_args(params.a, params.lam, t)[-1]
+    halved = law(structure.scale(params, 2.0), np.where(wide, 0.5 * t, 1.0))
+    return np.where(wide, 0.5 * halved, law(params, np.where(wide, 1.0, t)))
 
 
 def multivariate_pdf_II(params: MinUExpParams, t) -> float:
@@ -245,23 +238,24 @@ def erlang_pdf(params: MinUExpParams, n: int, t):
 
     The leading power of c is n+2: that is what the n = 1 reduction to the
     single inter-arrival density and the quadrature oracle require.
-    Evaluated in log space so large n does not overflow.  0 for t <= 0 and
-    at t = +inf, NaN at NaN.
+    Evaluated in log space so large n does not overflow.  Where c overflows
+    at finite t, the density is half the one at (2a, lambda/2, t/2).  0 for
+    t <= 0 and at t = +inf, NaN at NaN.
     """
     n = _integer(n, "event index n must be a positive integer")
     arr = np.asarray(t, dtype=float)
-    # every t in (0, inf), and so none NaN: nothing to mask
-    if arr.size and arr.min() > 0.0 and arr.max() < math.inf:
+    # every t in (0, inf) and lambda + t finite, so none NaN: nothing to mask
+    if arr.size and arr.min() > 0.0 and params.lam + float(arr.max()) < math.inf:
         out = np.exp(_log_erlang_body(params, n, arr))
         return float(out) if out.ndim == 0 else out
     inside = (arr > 0.0) & (arr < math.inf)
     ti = np.where(inside, arr, 1.0)
-    out = np.where(inside, np.exp(_log_erlang_body(params, n, ti)), 0.0)
-    return _finish(arr, out)
+    out = _through_kernel(params, ti, lambda p, u: np.exp(_log_erlang_body(p, n, u)))
+    return _finish(arr, np.where(inside, out, 0.0))
 
 
 def _log_erlang_body(params: MinUExpParams, n: int, t: np.ndarray):
-    """log of erlang_pdf at t in (0, inf)."""
+    """log of erlang_pdf at t in (0, inf) where lambda + t is finite."""
     return (n - 1) * np.log(t) - math.lgamma(n) + log_mixing_kernel(params, n, params.lam + t)
 
 

@@ -9,6 +9,10 @@ This is the mixing variable of the whole package.  Its c.d.f. is
 Evaluators accept scalars or numpy arrays in the variate argument and are
 pure; a NaN argument gives NaN.  Sampling mutates only the generator
 passed in.
+
+The waiting-time laws (lst here, the rest in interarrival) are functions of
+c = lambda + t and z = ac; one helper, _waiting_args, forms both at their
+overflow edges for all of them.
 """
 
 from __future__ import annotations
@@ -69,38 +73,39 @@ def _increasing_grid(values, name: str) -> np.ndarray:
     return grid
 
 
-def _scaled_rate(a: float, lam: float, t: np.ndarray):
-    """c = lambda + t and z = a c as arrays, and the mask where z overflows
-    (None if nowhere).
+def _waiting_args(a: float, lam: float, t: np.ndarray):
+    """(a, lambda, t, c, z, huge, wide): the arguments a waiting-time law is
+    evaluated at, with c = lambda + t and z = a c, and the masks where z and
+    where c overflowed (None if nowhere).
 
-    There z reads 1.0, a stand-in that keeps B(z)/z, C(z)/z and
+    Where z overflows it reads 1.0, a stand-in that keeps B(z)/z, C(z)/z and
     (1 - e^(-z))/z finite; the caller overwrites those elements with the
     limits 1, 1/(ac) and 1/(ac), which hold to double precision once ac
-    exceeds the largest double.  Where c itself overflows, z does too,
-    though ac may not: the caller mends those elements with
-    _where_c_overflows.
+    exceeds the largest double.  Where c itself overflows at finite t, the
+    arguments are those of (2a, lambda/2, t/2): xi -> 2 xi maps (a, lambda)
+    to (2a, lambda/2), so transforms and c.d.f.s keep their value there,
+    densities in t halve, and c/2 is finite.  A 2a past the largest double
+    reads inf, which drops only terms far below half an ulp of the result.
+    An overflowing c makes z overflow too, so c is checked only where z
+    overflowed.
     """
     with np.errstate(over="ignore"):
         c = lam + t
         z = np.asarray(a * c)
-    huge = np.isinf(z)
-    if not huge.any():
-        return c, z, None
-    return c, np.where(huge, 1.0, z), huge
-
-
-def _where_c_overflows(c: np.ndarray, body: np.ndarray, halved) -> np.ndarray:
-    """body, but where c = lambda + t overflowed at finite t, halved().
-
-    halved() evaluates the same law at (2a, lambda/2, t/2): xi -> 2 xi maps
-    (a, lambda) to (2a, lambda/2), so transforms and waiting-time c.d.f.s
-    agree there and densities in t halve, and c/2 is finite.  A 2a past the
-    largest double reads inf, which drops only terms far below half an ulp
-    of the result.  Callers reach this only where z overflowed, which every
-    overflowing c makes it do, so other calls pay nothing.
-    """
-    wide = np.isinf(c)
-    return np.where(wide, halved(), body) if wide.any() else body
+        huge = np.isinf(z)
+        if not huge.any():
+            return a, lam, t, c, z, None, None
+        wide = np.isinf(c)
+        if wide.any():
+            a = np.where(wide, 2.0 * a, a)
+            lam = np.where(wide, 0.5 * lam, lam)
+            t = np.where(wide, 0.5 * t, t)
+            c = lam + t
+            z = a * c
+            huge = np.isinf(z)
+        else:
+            wide = None
+    return a, lam, t, c, np.where(huge, 1.0, z), huge, wide
 
 
 def _finish(arg: np.ndarray, out: np.ndarray):
@@ -192,25 +197,17 @@ def lst(params: MinUExpParams, t):
     lambda/c + (t/c) (1 - e^(-ac))/(ac) with c = lambda + t: both factors of
     the second term are at most 1, so large t does not overflow.  Where ac
     itself overflows, the second term is (t/c)/a/c; where c does, the
-    value is the one at (2a, lambda/2, t/2).
+    value is the one at (2a, lambda/2, t/2) (see _waiting_args).
     """
-    a, lam = params.a, params.lam
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValueError("transform argument t must be nonnegative")
     finite = arr < np.inf
-    out = np.where(finite, _lst_finite(a, lam, np.where(finite, arr, 0.0)), 0.0)
-    return _finish(arr, out)
-
-
-def _lst_finite(a: float, lam: float, t: np.ndarray) -> np.ndarray:
-    """lst at finite t >= 0."""
-    c, z, huge = _scaled_rate(a, lam, t)
+    a, lam, t, c, z, huge, _ = _waiting_args(params.a, params.lam, np.where(finite, arr, 0.0))
     body = lam / c + t / c * (-np.expm1(-z) / z)
     if huge is not None:
         body = np.where(huge, lam / c + t / c / a / c, body)
-        body = _where_c_overflows(c, body, lambda: _lst_finite(2.0 * a, 0.5 * lam, 0.5 * t))
-    return body
+    return _finish(arr, np.where(finite, body, 0.0))
 
 
 def sample(params: MinUExpParams, rng: np.random.Generator, size=None):

@@ -267,6 +267,50 @@ def test_finite_where_c_overflows(evaluator, reference):
             assert values.tolist() == [evaluator(params, t) for t in points.tolist()]
 
 
+def _mp_kernel(a, lam, s, c):
+    """J(s, c) = integral over (0, a) of x^s e^(-c x) (lambda a + 1 - lambda x)/a dx."""
+    z = a * c
+    return ((lam * a + 1) * mpmath.gammainc(s + 1, 0, z) / c ** (s + 1)
+            - lam * mpmath.gammainc(s + 2, 0, z) / c ** (s + 2)) / a
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, "mean"])
+def test_kernel_laws_finite_where_c_overflows(n):
+    # at (1, 1e308), t = 1.5e308 erlang_pdf and mean_xi_given_tau raised
+    # ValueError after an "overflow encountered in add" RuntimeWarning; the
+    # values are about 1.6e-309 (n = 1) and 8e-309 (the mean).  The kernel
+    # works in log space, so its floor is a few ulps of the largest log
+    # term, (n + 1) log c, and these subnormal results add up to an ulp,
+    # 2^-1074.  (1e300, 9e307) is left out: lambda a overflows there, where
+    # the kernel gives NaN at every t
+    if n == "mean":
+        evaluator, order = mean_xi_given_tau, 2
+    else:
+        evaluator, order = (lambda p, t: erlang_pdf(p, n, t)), n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params, ts in OVERFLOWING_C[:2]:
+            with mpmath.workdps(60):
+                a, lam = mpmath.mpf(params.a), mpmath.mpf(params.lam)
+                refs, tols = [], []
+                for t in ts:
+                    tm = mpmath.mpf(t)
+                    c = lam + tm
+                    if n == "mean":
+                        ref = _mp_kernel(a, lam, 2, c) / _mp_kernel(a, lam, 1, c)
+                    else:
+                        ref = tm ** (n - 1) / mpmath.factorial(n - 1) * _mp_kernel(a, lam, n, c)
+                    refs.append(float(ref))
+                    tols.append(4 * (order + 1) * float(mpmath.log(c)) * 2.0**-53 * float(ref) + 2.0**-1074)
+            values = evaluator(params, np.array(ts))
+            assert np.all(np.abs(values - refs) <= tols), (params, values, refs)
+            assert values.tolist() == [evaluator(params, t) for t in ts]
+            # points where lambda + t is finite keep the bits they have alone
+            finite = np.array([1e-3, 0.5, 1e300])
+            mixed = evaluator(params, np.concatenate([ts, finite]))
+            assert mixed.tolist() == values.tolist() + evaluator(params, finite).tolist()
+
+
 def _mp_bivariate(a, lam, t, x):
     return x / a * mpmath.exp(-(lam + t) * x) * (1 + lam * a - lam * x)
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from minuexp import (
     MinUExpParams,
+    bivariate_pdf,
     count_mean_var,
     count_pmf,
     erlang_pdf,
@@ -172,6 +173,32 @@ def test_count_mean_is_the_first_factorial_moment(params, mu_t):
     mean, first = count_mean_var(params, mu_t)[0], factorial_moment(params, mu_t, 1)
     if _normal(mean, first):
         assert mean == pytest.approx(first, rel=1e-14, abs=0.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    params=st.builds(MinUExpParams, _log_uniform(1e-6, 1e6), _log_uniform(1e-6, 1e6)),
+    t=_log_uniform(1e-6, 1e6),
+    j=st.integers(-30, 30),
+    u=st.floats(1e-3, 0.999),
+)
+def test_waiting_time_laws_are_equivariant_under_power_of_two_scaling(params, t, j, u):
+    # xi -> k xi maps (a, lambda) to (k a, lambda/k), tau to tau/k and the
+    # joint density at (t, x) to the one at (t/k, k x); with k = 2^j every
+    # scaled input is exact, so transforms, c.d.f.s and joint densities keep
+    # their bits and the density of tau scales by exactly k
+    k = 2.0**j
+    scaled, x = scale(params, k), u * params.a
+    scaled_pdf = tau_pdf(scaled, t / k)
+    pairs = [
+        (lst(params, t), lst(scaled, t / k)),
+        (tau_cdf(params, t), tau_cdf(scaled, t / k)),
+        (tau_pdf(params, t), scaled_pdf / k if _normal(scaled_pdf) else math.nan),
+        (bivariate_pdf(params, t, x), bivariate_pdf(scaled, t / k, k * x)),
+    ]
+    for value, image in pairs:
+        if _normal(value, image):
+            assert value == image
 
 
 def test_every_relative_check_sets_its_absolute_tolerance():
